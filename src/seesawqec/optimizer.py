@@ -12,6 +12,12 @@ by trace-preserving renormalization) with a monotone-acceptance
 safeguard, and the full problem by alternating the two halves from a
 set of seeded restarts.
 
+One stacked kernel (:func:`_power_batch`) runs the power step for a
+batch of half-problems at once: the starts of a multistart, or every
+live restart of a seesaw, in lockstep.  Each member's arithmetic is the
+same whatever else is in the batch, so results do not depend on how
+the batch was composed.
+
 A slower projected-ascent solver over Choi matrices
 (:func:`oracle_optimize`) provides an independent cross-check of the
 half-problem optima; it is used by the test suite, not the seesaw loop.
@@ -24,10 +30,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import Channel, channel_fidelity, tensor_power
-from .codes import (Isometry, leung_encoder, partial_trace_recovery,
+from .channels import COMPLETENESS_TOL, Channel, channel_fidelity, tensor_power
+from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
-from .linalg import inv_sqrt_psd, partial_trace
+from .linalg import HERMITICITY_TOL, PSD_NEG_TOL, partial_trace
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
@@ -100,11 +106,28 @@ def quadratic_fidelity(x: FidelityOperator, c: Channel) -> float:
     return float(np.real(np.sum(w.conj() * (x.x @ w))))
 
 
-def _operator_from_products(prods: np.ndarray, d_logical: int) -> np.ndarray:
-    """X = (1/d^2) sum_c vec(C_c) vec(C_c)^dag from stacked fixed-part products."""
-    u = prods.transpose(0, 2, 1).reshape(prods.shape[0], -1)
+def _operator(u: np.ndarray, d_logical: int) -> np.ndarray:
+    """X = (1/d^2) sum_p u_p u_p^dag from rows u_p = vec(C_p) of the fixed-part products."""
     x = (u.T @ u.conj()) / (d_logical * d_logical)
     return (x + x.conj().T) / 2
+
+
+def _recovery_operator(e: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Recovery-half X from encoder Kraus stack e [I, c, d] and noise stack n [J, m, c]."""
+    (ni, c, d), (nj, m, _) = e.shape, n.shape
+    # prods[(j, a), (i, b)] = (N_j E_i)[a, b]
+    prods = n.reshape(nj * m, c) @ e.transpose(1, 0, 2).reshape(c, ni * d)
+    u = prods.reshape(nj, m, ni, d).transpose(0, 2, 3, 1).reshape(nj * ni, d * m)
+    return _operator(u, d)
+
+
+def _encoding_operator(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Encoding-half X from recovery Kraus stack r [K, d, m] and noise stack n [J, m, c]."""
+    (nk, d, m), (nj, _, c) = r.shape, n.shape
+    # prods[(k, a), (j, b)] = (R_k N_j)[a, b]
+    prods = r.reshape(nk * d, m) @ n.transpose(1, 0, 2).reshape(m, nj * c)
+    u = prods.reshape(nk, d, nj, c).transpose(0, 2, 3, 1).reshape(nk * nj, c * d)
+    return _operator(u, d)
 
 
 def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOperator:
@@ -116,11 +139,8 @@ def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOper
     if encoder.d_out != noise.d_in:
         raise ValueError(f"encoder output dim {encoder.d_out} does not match "
                          f"noise input dim {noise.d_in}")
-    d = encoder.d_in
-    n = np.stack(noise.kraus)
-    e = np.stack(encoder.kraus)
-    prods = np.einsum("jab,ibc->jiac", n, e).reshape(-1, noise.d_out, d)
-    return FidelityOperator(_operator_from_products(prods, d), (d, noise.d_out))
+    x = _recovery_operator(np.stack(encoder.kraus), np.stack(noise.kraus))
+    return FidelityOperator(x, (encoder.d_in, noise.d_out))
 
 
 def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> FidelityOperator:
@@ -132,30 +152,105 @@ def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> FidelityOpe
     if noise.d_out != recovery.d_in:
         raise ValueError(f"noise output dim {noise.d_out} does not match "
                          f"recovery input dim {recovery.d_in}")
-    d = recovery.d_out
-    r = np.stack(recovery.kraus)
-    n = np.stack(noise.kraus)
-    prods = np.einsum("kab,jbc->kjac", r, n).reshape(-1, d, noise.d_in)
-    return FidelityOperator(_operator_from_products(prods, d), (noise.d_in, d))
+    y = _encoding_operator(np.stack(recovery.kraus), np.stack(noise.kraus))
+    return FidelityOperator(y, (noise.d_in, recovery.d_out))
 
 
-def _renormalize(ks: np.ndarray) -> Optional[np.ndarray]:
-    """Right-multiply by S^(-1/2); None if completeness cannot be restored."""
-    s = np.einsum("koi,koj->ij", ks.conj(), ks)
-    scale = float(np.max(np.abs(s)))
-    if scale == 0.0:
-        return None
-    root = inv_sqrt_psd(s, eps=1e-14 * scale)
-    out = ks @ root
-    s_new = np.einsum("koi,koj->ij", out.conj(), out)
-    if np.max(np.abs(s_new - np.eye(ks.shape[2]))) > 1e-9:
-        return None
-    return out
+def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c[b] @ S_b^(-1/2) with S_b = c[b]^dag c[b], plus S's scale and the completeness error.
+
+    ``c`` is [B, M, i]: the Kraus operators of member b stacked row-wise.
+    Eigenvalues at or below 1e-14 of S_b's largest entry are dropped from
+    the inverse root.  A non-finite, non-Hermitian or non-PSD S raises,
+    with the thresholds ``inv_sqrt_psd`` uses; each check is one
+    reduction over the batch.
+    """
+    s = c.conj().swapaxes(1, 2) @ c
+    if not np.isfinite(s).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    sh = s.conj().swapaxes(1, 2)
+    dev = np.abs(s - sh).max()
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} "
+                         f"> {HERMITICITY_TOL:.0e}")
+    w, v = np.linalg.eigh((s + sh) / 2)
+    if w[:, 0].min() < -PSD_NEG_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[:, 0].min():.3e}")
+    scale = np.abs(s).max(axis=(1, 2))
+    # A zero S fails completeness; the unit floor only keeps its root finite.
+    eps = 1e-14 * np.where(scale > 0.0, scale, 1.0)[:, None]
+    f = np.where(w > eps, 1.0 / np.sqrt(np.maximum(w, eps)), 0.0)
+    out = c @ ((v * f[:, None, :]) @ v.conj().swapaxes(1, 2))
+    gram = out.conj().swapaxes(1, 2) @ out
+    return out, scale, np.abs(gram - np.eye(c.shape[2])).max(axis=(1, 2))
 
 
-def _power_fidelity(x: np.ndarray, ks: np.ndarray) -> float:
-    w = ks.reshape(ks.shape[0], -1).conj().T
-    return float(np.real(np.sum(w.conj() * (x @ w))))
+def _renormalize(c: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Make each member of the stack c [B, M, i] trace preserving.
+
+    Returns ``(out, ok)``; ``ok[b]`` is False when S_b is zero or ``out[b]``
+    misses completeness by more than ``tol``.
+    """
+    out, scale, dev = _lowdin(c)
+    # S squares the condition number of c, so a nearly rank-deficient
+    # stack can miss completeness by rounding alone (2e-9 at gamma=0.02 on
+    # the 4-qubit code).  The result's own S is close to the identity, and
+    # renormalizing once more restores completeness to rounding.
+    redo = np.flatnonzero((scale > 0.0) & (dev > tol))
+    if redo.size:
+        out[redo], _, dev[redo] = _lowdin(out[redo])
+    return out, (scale > 0.0) & (dev <= tol)
+
+
+def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the power step on a batch of half-problems until every member stops.
+
+    ``x`` is [B, D, D], one fidelity operator per member; ``ks`` is
+    [B, r, o, i], the starting Kraus operators, zero-padded to a common
+    count r (a zero Kraus operator stays exactly zero).  Each member
+    iterates K <- renormalize(X-step of K) on its own: a candidate is
+    accepted unless its fidelity drops by more than ``opts.inner_tol``;
+    the member stops on a drop, on a renormalization that fails
+    (completeness off by more than ``tol``), when the accepted step
+    changes the fidelity by less than ``opts.inner_tol`` (converged), or
+    after ``opts.max_inner_iters`` steps.  A step is a few stacked
+    matmuls and one stacked eigh over the members still running; stopped
+    members leave the live arrays.
+
+    Returns ``(best_ks, best_f, iterations, converged)`` per member, where
+    ``best_ks`` is the best accepted iterate (the start if none beat it).
+    """
+    b, r, o, i = ks.shape
+    # Row k of v is ravel(K_k) = conj(w_k), so the rows of v @ X are the
+    # power step conj(X w_k), and the fidelity is sum_k conj(v_k) . (v X)_k.
+    v = ks.reshape(b, r, o * i)
+    p = v @ x
+    f = np.vecdot(v.reshape(b, -1), p.reshape(b, -1)).real
+    best, best_f = v.copy(), f.copy()
+    iterations = np.full(b, opts.max_inner_iters)
+    converged = np.zeros(b, dtype=bool)
+    live = np.arange(b)
+    for step in range(1, opts.max_inner_iters + 1):
+        cand, ok = _renormalize(p.reshape(len(live), r * o, i), tol)
+        cand = cand.reshape(len(live), r, o * i)
+        p = cand @ x
+        f_new = np.vecdot(cand.reshape(len(live), -1), p.reshape(len(live), -1)).real
+        accept = ok & (f_new >= f - opts.inner_tol)
+        up = accept & (f_new > best_f[live])
+        best[live[up]] = cand[up]
+        best_f[live[up]] = f_new[up]
+        done = accept & (np.abs(f_new - f) < opts.inner_tol)
+        converged[live[done]] = True
+        f = f_new
+        stop = done | ~accept
+        if stop.any():
+            iterations[live[stop]] = step
+            keep = ~stop
+            live, x, p, f = live[keep], x[keep], p[keep], f[keep]
+            if not live.size:
+                break
+    return best.reshape(ks.shape), best_f, iterations, converged
 
 
 def optimize_half(x: FidelityOperator, initial: Channel,
@@ -168,36 +263,12 @@ def optimize_half(x: FidelityOperator, initial: Channel,
     iterate is kept and the iteration stops.  The best iterate seen is
     returned, so the result never falls below the starting fidelity.
     """
-    d_out, d_in = x.free_shape
-    if (initial.d_out, initial.d_in) != (d_out, d_in):
+    if (initial.d_out, initial.d_in) != x.free_shape:
         raise ValueError(f"initial channel shape ({initial.d_out}, {initial.d_in}) "
                          f"does not match operator free shape {x.free_shape}")
-    ks = np.stack(initial.kraus)
-    xm = x.x
-    f_prev = _power_fidelity(xm, ks)
-    best_ks, best_f = ks, f_prev
-    converged = False
-    iters = 0
-    for _ in range(opts.max_inner_iters):
-        w = ks.reshape(ks.shape[0], -1).conj().T
-        w = xm @ w
-        cand = w.conj().T.reshape(ks.shape)
-        cand = _renormalize(cand)
-        iters += 1
-        if cand is None:
-            break
-        f_new = _power_fidelity(xm, cand)
-        if f_new < f_prev - opts.inner_tol:
-            break
-        ks = cand
-        if f_new > best_f:
-            best_ks, best_f = cand, f_new
-        if abs(f_new - f_prev) < opts.inner_tol:
-            f_prev = f_new
-            converged = True
-            break
-        f_prev = f_new
-    return HalfResult(Channel(list(best_ks)), best_f, iters, converged)
+    best, f, iters, conv = _power_batch(x.x[None], np.stack(initial.kraus)[None],
+                                        opts, COMPLETENESS_TOL)
+    return HalfResult(Channel(list(best[0])), float(f[0]), int(iters[0]), bool(conv[0]))
 
 
 def optimize_encoding_isometric(y: FidelityOperator, initial: Isometry,
@@ -207,44 +278,12 @@ def optimize_encoding_isometric(y: FidelityOperator, initial: Isometry,
     Renormalization projects back to isometries via V (V^dag V)^(-1/2).
     Returns (isometry, fidelity, iterations, converged).
     """
-    d_out, d_in = y.free_shape
-    if (initial.d_out, initial.d_in) != (d_out, d_in):
+    if (initial.d_out, initial.d_in) != y.free_shape:
         raise ValueError(f"initial isometry shape ({initial.d_out}, {initial.d_in}) "
                          f"does not match operator free shape {y.free_shape}")
-    v = initial.v
-    ym = y.x
-
-    def fid(m):
-        w = m.conj().reshape(-1)
-        return float(np.real(w.conj() @ (ym @ w)))
-
-    f_prev = fid(v)
-    best_v, best_f = v, f_prev
-    converged = False
-    iters = 0
-    for _ in range(opts.max_inner_iters):
-        w = ym @ v.conj().reshape(-1)
-        cand = w.conj().reshape(d_out, d_in)
-        gram = cand.conj().T @ cand
-        scale = float(np.max(np.abs(gram)))
-        iters += 1
-        if scale == 0.0:
-            break
-        cand = cand @ inv_sqrt_psd(gram, eps=1e-14 * scale)
-        if np.max(np.abs(cand.conj().T @ cand - np.eye(d_in))) > 1e-10:
-            break
-        f_new = fid(cand)
-        if f_new < f_prev - opts.inner_tol:
-            break
-        v = cand
-        if f_new > best_f:
-            best_v, best_f = cand, f_new
-        if abs(f_new - f_prev) < opts.inner_tol:
-            f_prev = f_new
-            converged = True
-            break
-        f_prev = f_new
-    return Isometry(best_v), best_f, iters, converged
+    best, f, iters, conv = _power_batch(y.x[None], initial.v[None, None], opts,
+                                        ISOMETRY_TOL)
+    return Isometry(best[0, 0]), float(f[0]), int(iters[0]), bool(conv[0])
 
 
 def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
@@ -253,10 +292,10 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> C
         raise ValueError(f"rank {rank} too small for a TP map {d_in} -> {d_out}")
     g = (rng.standard_normal((rank, d_out, d_in))
          + 1j * rng.standard_normal((rank, d_out, d_in)))
-    ks = _renormalize(g)
-    if ks is None:
+    ks, ok = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
+    if not ok[0]:
         raise ValueError("random Kraus draw was rank deficient")
-    return Channel(list(ks))
+    return Channel(list(ks.reshape(rank, d_out, d_in)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +393,46 @@ def _seed_isometries(n: int, d_code: int, opts: SolveOptions,
 LEUNG_RESTART_INDEX = 1
 
 
+def _pad(stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[int]]:
+    """Stack Kraus stacks of different counts, zero-padded to the widest."""
+    counts = [len(s) for s in stacks]
+    out = np.zeros((len(stacks), max(counts)) + stacks[0].shape[1:], dtype=complex)
+    for b, s in enumerate(stacks):
+        out[b, :len(s)] = s
+    return out, counts
+
+
+def _first_best(f: Sequence[float]) -> int:
+    """Index of the best value; a later one must win by more than 1e-12."""
+    best = 0
+    for j in range(1, len(f)):
+        if f[j] > f[best] + 1e-12:
+            best = j
+    return best
+
+
+def _best_recovery(x: np.ndarray, encoder: Isometry, noise: Channel,
+                   opts: SolveOptions, rng_seed: int, extra_starts: Sequence[Channel]
+                   ) -> Tuple[np.ndarray, int, float, int, bool]:
+    """Run the multistart's starts against operator x as one batch.
+
+    Starts, in the order ties are broken: the encoder reversal, the
+    extra starts, and two random channels drawn with ``rng_seed``.
+    Returns the best result's Kraus stack (zero-padded to the widest
+    start), its Kraus count, fidelity and convergence flag, and the
+    iterations of all starts.
+    """
+    rng = np.random.default_rng(rng_seed)
+    starts = [reversal_recovery(encoder), *extra_starts]
+    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
+               for _ in range(2)]
+    ks, counts = _pad([np.stack(c.kraus) for c in starts])
+    best, f, iters, conv = _power_batch(np.broadcast_to(x, (len(ks),) + x.shape),
+                                        ks, opts, COMPLETENESS_TOL)
+    j = _first_best(f)
+    return best[j], counts[j], float(f[j]), int(iters.sum()), bool(conv[j])
+
+
 def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
                                  opts: SolveOptions, rng_seed: int,
                                  extra_starts: Sequence[Channel] = ()
@@ -362,26 +441,18 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
 
     Starts: the encoder-reversal recovery, any caller-supplied channels,
     and two random channels drawn from a generator seeded with
-    ``rng_seed``.  Also the exact routine behind the "optimized decoding
-    with the fixed 4-qubit code" sweep mode, so the seesaw's seeded
-    restarts dominate that curve by construction.
+    ``rng_seed``, run as one batch.  Also the exact routine behind the
+    "optimized decoding with the fixed 4-qubit code" sweep mode, so the
+    seesaw's seeded restarts dominate that curve by construction.
     """
-    x = fidelity_operator_recovery(encoder.as_channel(), noise)
-    rng = np.random.default_rng(rng_seed)
-    starts: List[Channel] = [reversal_recovery(encoder)]
-    starts.extend(extra_starts)
-    for _ in range(2):
-        starts.append(random_cptp(noise.d_out, encoder.d_in,
-                                  opts.kraus_rank_recovery, rng))
-    best: Optional[HalfResult] = None
-    iters = 0
-    for s in starts:
-        res = optimize_half(x, s, opts)
-        iters += res.iterations
-        if best is None or res.fidelity > best.fidelity + 1e-12:
-            best = res
-    assert best is not None
-    return HalfResult(best.channel, best.fidelity, iters, best.converged)
+    x = fidelity_operator_recovery(encoder.as_channel(), noise).x
+    for c in extra_starts:
+        if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
+            raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
+                             f"recovery shape ({encoder.d_in}, {noise.d_out})")
+    ks, count, f, iters, conv = _best_recovery(x, encoder, noise, opts, rng_seed,
+                                               extra_starts)
+    return HalfResult(Channel(list(ks[:count])), f, iters, conv)
 
 
 def _noiseless(noise_single: Channel) -> bool:
@@ -398,6 +469,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     ``opts.restarts``.  Within each restart, recovery and encoding are
     optimized in turn until the per-round fidelity gain falls below
     ``outer_tol``.  The best restart wins; ties go to the lowest index.
+
+    The restarts run in lockstep: after each restart's multistart (one
+    batch per restart), each round runs one encoder-half batch and one
+    recovery-half batch over the restarts still going.
     """
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
@@ -414,62 +489,62 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             restart_traces=[[1.0]])
 
     noise = tensor_power(noise_single, n)
-    d_code = noise.d_in
-    seeds = _seed_isometries(n, d_code, opts, extra_seed_encoders)
+    nks = np.stack(noise.kraus)
+    seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
+    enc_tol = ISOMETRY_TOL if opts.isometric_encoding else COMPLETENESS_TOL
 
-    best: Optional[SeesawResult] = None
+    # Initial recoveries: each restart's multistart is one batch.  Every
+    # restart has a reversal and two random starts, so all are padded to
+    # the same Kraus count, which does not depend on the number of restarts.
+    # Arrays returned by the kernel are never written again, so the state
+    # and the best snapshots can hold views into them.
+    enc = [iso.v[None] for _, iso in seeds]
+    rec, rec_count, traces = [], [], []
     total_iters = 0
-    all_traces: List[List[float]] = []
-    for idx, (name, enc0) in enumerate(seeds):
-        restart_seed = opts.seed + idx
-        extra: List[Channel] = []
-        if name == "trivial":
-            extra.append(partial_trace_recovery(n))
-        rec_res = optimize_recovery_multistart(enc0, noise, opts, restart_seed,
-                                               extra_starts=extra)
-        total_iters += rec_res.iterations
-        enc, rec = enc0, rec_res.channel
-        trace = [rec_res.fidelity]
-        best_snap = (enc, rec, rec_res.fidelity)
-        f_round = rec_res.fidelity
-        converged = False
-        rounds = 0
-        for _ in range(opts.max_outer_rounds):
-            rounds += 1
-            y = fidelity_operator_encoding(rec, noise)
-            if opts.isometric_encoding:
-                enc, f_e, it_e, _ = optimize_encoding_isometric(y, enc, opts)
-                enc_channel = enc.as_channel()
-            else:
-                half = optimize_half(y, enc.as_channel() if isinstance(enc, Isometry)
-                                     else enc, opts)
-                enc, f_e, it_e = half.channel, half.fidelity, half.iterations
-                enc_channel = half.channel
-            total_iters += it_e
-            trace.append(max(f_e, trace[-1]))
-            x = fidelity_operator_recovery(enc_channel, noise)
-            half_r = optimize_half(x, rec, opts)
-            rec = half_r.channel
-            total_iters += half_r.iterations
-            trace.append(max(half_r.fidelity, trace[-1]))
-            if trace[-1] > best_snap[2]:
-                best_snap = (enc, rec, trace[-1])
-            if trace[-1] - f_round < opts.outer_tol:
-                converged = True
-                break
-            f_round = trace[-1]
-        all_traces.append(trace)
-        enc_b, rec_b, f_b = best_snap
-        enc_channel_b = enc_b.as_channel() if isinstance(enc_b, Isometry) else enc_b
-        cand = SeesawResult(
-            encoder=enc_channel_b, recovery=rec_b, fidelity=f_b,
-            fidelity_trace=trace, restarts_used=len(seeds), converged=converged,
-            best_restart_seed=restart_seed,
-            encoder_isometry=enc_b if isinstance(enc_b, Isometry) else None,
-            outer_rounds=rounds)
-        if best is None or cand.fidelity > best.fidelity + 1e-12:
-            best = cand
-    assert best is not None
-    best.inner_iterations_total = total_iters
-    best.restart_traces = all_traces
-    return best
+    for idx, (name, iso) in enumerate(seeds):
+        extra = [partial_trace_recovery(n)] if name == "trivial" else []
+        ks, count, f, iters, _ = _best_recovery(_recovery_operator(enc[idx], nks), iso,
+                                                noise, opts, opts.seed + idx, extra)
+        rec.append(ks)
+        rec_count.append(count)
+        traces.append([f])
+        total_iters += iters
+    snaps = [(enc[i], rec[i], traces[i][0]) for i in range(len(seeds))]
+    f_round = [t[0] for t in traces]
+    rounds = [0] * len(seeds)
+    converged = [False] * len(seeds)
+
+    live = list(range(len(seeds)))
+    while live:
+        ys = np.stack([_encoding_operator(rec[i][:rec_count[i]], nks) for i in live])
+        enc_new, f_e, it_e, _ = _power_batch(ys, np.stack([enc[i] for i in live]),
+                                             opts, enc_tol)
+        xs_live = np.stack([_recovery_operator(e, nks) for e in enc_new])
+        rec_new, f_r, it_r, _ = _power_batch(xs_live, np.stack([rec[i] for i in live]),
+                                             opts, COMPLETENESS_TOL)
+        total_iters += int(it_e.sum() + it_r.sum())
+        still = []
+        for pos, i in enumerate(live):
+            enc[i], rec[i] = enc_new[pos], rec_new[pos]
+            trace = traces[i]
+            trace.append(max(float(f_e[pos]), trace[-1]))
+            trace.append(max(float(f_r[pos]), trace[-1]))
+            rounds[i] += 1
+            if trace[-1] > snaps[i][2]:
+                snaps[i] = (enc[i], rec[i], trace[-1])
+            if trace[-1] - f_round[i] < opts.outer_tol:
+                converged[i] = True
+            elif rounds[i] < opts.max_outer_rounds:
+                f_round[i] = trace[-1]
+                still.append(i)
+        live = still
+
+    win = _first_best([s[2] for s in snaps])
+    enc_b, rec_b, f_b = snaps[win]
+    return SeesawResult(
+        encoder=Channel([enc_b[0]]), recovery=Channel(list(rec_b[:rec_count[win]])),
+        fidelity=f_b, fidelity_trace=traces[win], restarts_used=len(seeds),
+        converged=converged[win], best_restart_seed=opts.seed + win,
+        encoder_isometry=Isometry(enc_b[0]) if opts.isometric_encoding else None,
+        inner_iterations_total=total_iters, outer_rounds=rounds[win],
+        restart_traces=traces)
