@@ -21,13 +21,22 @@ PSD_NEG_TOL = 1e-8
 DEFAULT_EIG_FLOOR = 1e-12
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array and reject non-finite entries."""
+def as_matrices(m) -> np.ndarray:
+    """Coerce to a complex matrix or stack of matrices [..., r, c] and reject
+    non-finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a 2-D complex array and reject non-finite entries."""
+    a = as_matrices(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     return a
 
 
@@ -80,8 +89,13 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     return t.reshape(out_side, out_side)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def herm_check(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    dev = np.max(np.abs(m - m.conj().T))
+    """Raise unless every matrix of ``m`` [..., D, D] is Hermitian to ``tol``."""
+    dev = np.max(np.abs(m - _dagger(m)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
 
@@ -90,27 +104,33 @@ def herm_eig(m) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and the
-    columns of ``v`` orthonormal.
+    columns of ``v`` orthonormal.  A stack ``m`` [..., D, D] is
+    decomposed matrix by matrix in one call, each check covering the
+    whole stack.
     """
-    m = as_matrix(m)
+    m = as_matrices(m)
     herm_check(m)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1].real.copy(), v[:, ::-1].copy()
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
+    return w[..., ::-1].real.copy(), v[..., ::-1].copy()
 
 
-def inv_sqrt_psd(m, eps: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
+def inv_sqrt_psd(m, eps=DEFAULT_EIG_FLOOR) -> np.ndarray:
     """Pseudo-inverse square root of a Hermitian PSD matrix.
 
     Eigenvalues at or below ``eps`` are treated as numerical zeros and
-    mapped to 0; eigenvalues below ``-PSD_NEG_TOL`` are an error.
+    mapped to 0; eigenvalues below ``-PSD_NEG_TOL`` are an error.  For a
+    stack ``m`` [..., D, D], ``eps`` may hold one floor per matrix.
     """
-    if eps <= 0:
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise ValueError(f"eigenvalue floor must be positive, got {eps}")
     w, v = herm_eig(m)
-    if w[-1] < -PSD_NEG_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e}")
+    w_min = w[..., -1].min()
+    if w_min < -PSD_NEG_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w_min:.3e}")
+    eps = eps[..., None]
     f = np.where(w > eps, 1.0 / np.sqrt(np.maximum(w, eps)), 0.0)
-    return (v * f) @ v.conj().T
+    return (v * f[..., None, :]) @ _dagger(v)
 
 
 def vec(m) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .channels import COMPLETENESS_TOL, Channel, channel_fidelity, tensor_power
 from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
-from .linalg import HERMITICITY_TOL, PSD_NEG_TOL, partial_trace
+from .linalg import inv_sqrt_psd, partial_trace
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
@@ -161,26 +161,12 @@ def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``c`` is [B, M, i]: the Kraus operators of member b stacked row-wise.
     Eigenvalues at or below 1e-14 of S_b's largest entry are dropped from
-    the inverse root.  A non-finite, non-Hermitian or non-PSD S raises,
-    with the thresholds ``inv_sqrt_psd`` uses; each check is one
-    reduction over the batch.
+    the inverse root.
     """
     s = c.conj().swapaxes(1, 2) @ c
-    if not np.isfinite(s).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    sh = s.conj().swapaxes(1, 2)
-    dev = np.abs(s - sh).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} "
-                         f"> {HERMITICITY_TOL:.0e}")
-    w, v = np.linalg.eigh((s + sh) / 2)
-    if w[:, 0].min() < -PSD_NEG_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[:, 0].min():.3e}")
     scale = np.abs(s).max(axis=(1, 2))
-    # A zero S fails completeness; the unit floor only keeps its root finite.
-    eps = 1e-14 * np.where(scale > 0.0, scale, 1.0)[:, None]
-    f = np.where(w > eps, 1.0 / np.sqrt(np.maximum(w, eps)), 0.0)
-    out = c @ ((v * f[:, None, :]) @ v.conj().swapaxes(1, 2))
+    # A zero S fails the completeness check; a unit scale keeps its floor positive.
+    out = c @ inv_sqrt_psd(s, 1e-14 * np.where(scale > 0.0, scale, 1.0))
     gram = out.conj().swapaxes(1, 2) @ out
     return out, scale, np.abs(gram - np.eye(c.shape[2])).max(axis=(1, 2))
 
@@ -200,6 +186,11 @@ def _renormalize(c: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     if redo.size:
         out[redo], _, dev[redo] = _lowdin(out[redo])
     return out, (scale > 0.0) & (dev <= tol)
+
+
+def _fidelities(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-member sum_k conj(v_k) . p_k over stacks [B, r, D]."""
+    return (v.conj() * p).reshape(len(v), -1).sum(axis=1).real
 
 
 def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
@@ -226,7 +217,7 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
     # power step conj(X w_k), and the fidelity is sum_k conj(v_k) . (v X)_k.
     v = ks.reshape(b, r, o * i)
     p = v @ x
-    f = np.vecdot(v.reshape(b, -1), p.reshape(b, -1)).real
+    f = _fidelities(v, p)
     best, best_f = v.copy(), f.copy()
     iterations = np.full(b, opts.max_inner_iters)
     converged = np.zeros(b, dtype=bool)
@@ -235,7 +226,7 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
         cand, ok = _renormalize(p.reshape(len(live), r * o, i), tol)
         cand = cand.reshape(len(live), r, o * i)
         p = cand @ x
-        f_new = np.vecdot(cand.reshape(len(live), -1), p.reshape(len(live), -1)).real
+        f_new = _fidelities(cand, p)
         accept = ok & (f_new >= f - opts.inner_tol)
         up = accept & (f_new > best_f[live])
         best[live[up]] = cand[up]
@@ -393,10 +384,10 @@ def _seed_isometries(n: int, d_code: int, opts: SolveOptions,
 LEUNG_RESTART_INDEX = 1
 
 
-def _pad(stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[int]]:
-    """Stack Kraus stacks of different counts, zero-padded to the widest."""
+def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> Tuple[np.ndarray, List[int]]:
+    """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``."""
     counts = [len(s) for s in stacks]
-    out = np.zeros((len(stacks), max(counts)) + stacks[0].shape[1:], dtype=complex)
+    out = np.zeros((len(stacks), max(counts + [width])) + stacks[0].shape[1:], dtype=complex)
     for b, s in enumerate(stacks):
         out[b, :len(s)] = s
     return out, counts
@@ -411,28 +402,6 @@ def _first_best(f: Sequence[float]) -> int:
     return best
 
 
-def _best_recovery(x: np.ndarray, encoder: Isometry, noise: Channel,
-                   opts: SolveOptions, rng_seed: int, extra_starts: Sequence[Channel]
-                   ) -> Tuple[np.ndarray, int, float, int, bool]:
-    """Run the multistart's starts against operator x as one batch.
-
-    Starts, in the order ties are broken: the encoder reversal, the
-    extra starts, and two random channels drawn with ``rng_seed``.
-    Returns the best result's Kraus stack (zero-padded to the widest
-    start), its Kraus count, fidelity and convergence flag, and the
-    iterations of all starts.
-    """
-    rng = np.random.default_rng(rng_seed)
-    starts = [reversal_recovery(encoder), *extra_starts]
-    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
-               for _ in range(2)]
-    ks, counts = _pad([np.stack(c.kraus) for c in starts])
-    best, f, iters, conv = _power_batch(np.broadcast_to(x, (len(ks),) + x.shape),
-                                        ks, opts, COMPLETENESS_TOL)
-    j = _first_best(f)
-    return best[j], counts[j], float(f[j]), int(iters.sum()), bool(conv[j])
-
-
 def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
                                  opts: SolveOptions, rng_seed: int,
                                  extra_starts: Sequence[Channel] = ()
@@ -441,18 +410,27 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
 
     Starts: the encoder-reversal recovery, any caller-supplied channels,
     and two random channels drawn from a generator seeded with
-    ``rng_seed``, run as one batch.  Also the exact routine behind the
-    "optimized decoding with the fixed 4-qubit code" sweep mode, so the
+    ``rng_seed``, run as one batch; ties go to the earliest start.  Also
+    the exact routine behind the "optimized decoding with the fixed
+    4-qubit code" sweep mode and the seesaw's initial recoveries, so the
     seesaw's seeded restarts dominate that curve by construction.
+    ``iterations`` counts the steps of all starts.
     """
     x = fidelity_operator_recovery(encoder.as_channel(), noise).x
     for c in extra_starts:
         if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
             raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
                              f"recovery shape ({encoder.d_in}, {noise.d_out})")
-    ks, count, f, iters, conv = _best_recovery(x, encoder, noise, opts, rng_seed,
-                                               extra_starts)
-    return HalfResult(Channel(list(ks[:count])), f, iters, conv)
+    rng = np.random.default_rng(rng_seed)
+    starts = [reversal_recovery(encoder), *extra_starts]
+    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
+               for _ in range(2)]
+    ks, counts = _pad([np.stack(c.kraus) for c in starts])
+    best, f, iters, conv = _power_batch(np.broadcast_to(x, (len(ks),) + x.shape),
+                                        ks, opts, COMPLETENESS_TOL)
+    j = _first_best(f)
+    return HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]), int(iters.sum()),
+                      bool(conv[j]))
 
 
 def _noiseless(noise_single: Channel) -> bool:
@@ -470,9 +448,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     optimized in turn until the per-round fidelity gain falls below
     ``outer_tol``.  The best restart wins; ties go to the lowest index.
 
-    The restarts run in lockstep: after each restart's multistart (one
-    batch per restart), each round runs one encoder-half batch and one
-    recovery-half batch over the restarts still going.
+    The restarts run in lockstep: after each restart's multistart
+    (:func:`optimize_recovery_multistart`, one batch per restart), each
+    round runs one encoder-half batch and one recovery-half batch over
+    the restarts still going.
     """
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
@@ -493,22 +472,22 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
     enc_tol = ISOMETRY_TOL if opts.isometric_encoding else COMPLETENESS_TOL
 
-    # Initial recoveries: each restart's multistart is one batch.  Every
-    # restart has a reversal and two random starts, so all are padded to
-    # the same Kraus count, which does not depend on the number of restarts.
-    # Arrays returned by the kernel are never written again, so the state
-    # and the best snapshots can hold views into them.
-    enc = [iso.v[None] for _, iso in seeds]
-    rec, rec_count, traces = [], [], []
+    traces, starts = [], []
     total_iters = 0
     for idx, (name, iso) in enumerate(seeds):
         extra = [partial_trace_recovery(n)] if name == "trivial" else []
-        ks, count, f, iters, _ = _best_recovery(_recovery_operator(enc[idx], nks), iso,
-                                                noise, opts, opts.seed + idx, extra)
-        rec.append(ks)
-        rec_count.append(count)
-        traces.append([f])
-        total_iters += iters
+        res = optimize_recovery_multistart(iso, noise, opts, opts.seed + idx, extra)
+        starts.append(np.stack(res.channel.kraus))
+        traces.append([res.fidelity])
+        total_iters += res.iterations
+    # Pad every recovery to the widest start a multistart can have (the
+    # reversal's d_code - 1 operators or the random rank), so the batch
+    # shape does not depend on which restarts exist.  Arrays returned by
+    # the kernel are never written again, so the state and the best
+    # snapshots can hold views into them.
+    padded, rec_count = _pad(starts, max(noise.d_out - 1, opts.kraus_rank_recovery))
+    rec = list(padded)
+    enc = [iso.v[None] for _, iso in seeds]
     snaps = [(enc[i], rec[i], traces[i][0]) for i in range(len(seeds))]
     f_round = [t[0] for t in traces]
     rounds = [0] * len(seeds)

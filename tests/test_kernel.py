@@ -6,7 +6,7 @@ import pytest
 
 import seesawqec as q
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import _pad, _power_batch
+from seesawqec.optimizer import _lowdin, _pad, _power_batch, _renormalize
 
 
 def reference_renormalize(ks, tol):
@@ -114,6 +114,44 @@ class TestKernelAgainstReference:
                 assert f[b] == 0.0 and not best[b].any()
             else:
                 assert_complete(best[b, :counts[b]])
+
+
+def conditioned_stack(cond, seed=0):
+    """16 Kraus operators 2x2, stacked [32, 2], with singular values 1 and 1/cond."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    return (u * np.array([1.0, 1.0 / cond])) @ vh
+
+
+class TestRenormalizeRedo:
+    """S = c^dag c squares the condition number of c, so one Lowdin step on a
+    nearly rank-deficient stack misses completeness by rounding alone; the
+    kernel redoes such a step once before it rejects it."""
+
+    def test_ill_conditioned_stack_is_restored_by_the_redo(self):
+        c = conditioned_stack(1e5)[None]
+        _, _, dev = _lowdin(c)
+        assert dev[0] > 1e-9                 # the first step alone fails
+        out, ok = _renormalize(c, 1e-9)
+        assert ok[0]
+        assert_complete(out[0].reshape(16, 2, 2), tol=1e-12)
+
+    @pytest.mark.parametrize("cond", [1e9, np.inf])
+    def test_rank_deficient_stack_is_still_rejected(self, cond):
+        _, ok = _renormalize(conditioned_stack(cond)[None], 1e-9)
+        assert not ok[0]
+
+    def test_kernel_steps_where_the_single_step_loop_stalled(self):
+        # With X = I the power step returns the start, so step 1 is the
+        # renormalization of the start itself.
+        ks = conditioned_stack(1e5).reshape(16, 2, 2)
+        x = np.eye(4, dtype=complex)
+        opts = q.SolveOptions()
+        assert reference_half(x, ks, opts)[1:] == (reference_fidelity(x, ks), 1, False)
+        best, f, iters, conv = _power_batch(x[None], ks[None], opts, 1e-9)
+        assert abs(f[0] - 2.0) < 1e-12 and conv[0] and iters[0] == 2
+        assert_complete(best[0])
 
 
 class TestLockstepSeesaw:

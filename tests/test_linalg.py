@@ -201,6 +201,30 @@ class TestInvSqrtPsd:
         with pytest.raises(ValueError, match="not PSD"):
             linalg.inv_sqrt_psd(np.diag([1.0, -1e-3]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(4)
+        g = rand_complex(rng, 6, 6).reshape(3, 2, 6)
+        ms = g @ g.conj().swapaxes(1, 2)
+        ms[2] = np.diag([4.0, 1e-9])        # the second eigenvalue is under its floor
+        eps = np.array([1e-12, 1e-12, 1e-6])
+        out = linalg.inv_sqrt_psd(ms, eps)
+        for m, e, r in zip(ms, eps, out):
+            np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m, e), atol=1e-12)
+        np.testing.assert_allclose(out[2], np.diag([0.5, 0.0]), atol=1e-14)
+
+    def test_stack_checks_every_matrix(self):
+        ms = np.stack([np.eye(2), np.diag([1.0, -1e-3])])
+        with pytest.raises(ValueError, match="not PSD"):
+            linalg.inv_sqrt_psd(ms)
+        ms[1] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.inv_sqrt_psd(ms)
+        ms[1] = [[np.nan, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="NaN"):
+            linalg.inv_sqrt_psd(ms)
+        with pytest.raises(ValueError, match="positive"):
+            linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, 0.0]))
+
 
 class TestVec:
     def test_identity_entries(self):
