@@ -10,8 +10,8 @@ from .optimizer import (FidelityOperator, HalfResult, SeesawResult,
                         SolveOptions, fidelity_operator_encoding,
                         fidelity_operator_recovery, optimize_encoding_isometric,
                         optimize_half, optimize_recovery_multistart,
-                        oracle_optimize, quadratic_fidelity, random_cptp,
-                        seesaw)
+                        optimize_recovery_multistarts, oracle_optimize,
+                        quadratic_fidelity, random_cptp, seesaw)
 from .cli import (SweepConfig, SweepRecord, read_csv, run_sweep, write_csv,
                   write_svg_plot)
 
@@ -24,8 +24,8 @@ __all__ = [
     "FidelityOperator", "HalfResult", "SeesawResult", "SolveOptions",
     "fidelity_operator_encoding", "fidelity_operator_recovery",
     "optimize_encoding_isometric", "optimize_half",
-    "optimize_recovery_multistart", "oracle_optimize", "quadratic_fidelity",
-    "random_cptp", "seesaw",
+    "optimize_recovery_multistart", "optimize_recovery_multistarts",
+    "oracle_optimize", "quadratic_fidelity", "random_cptp", "seesaw",
     "SweepConfig", "SweepRecord", "read_csv", "run_sweep", "write_csv",
     "write_svg_plot",
 ]

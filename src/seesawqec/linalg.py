@@ -122,7 +122,7 @@ def inv_sqrt_psd(m, eps=DEFAULT_EIG_FLOOR) -> np.ndarray:
     stack ``m`` [..., D, D], ``eps`` may hold one floor per matrix.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
+    if not np.all(eps > 0):     # NaN fails too
         raise ValueError(f"eigenvalue floor must be positive, got {eps}")
     w, v = herm_eig(m)
     w_min = w[..., -1].min()

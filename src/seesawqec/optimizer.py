@@ -13,10 +13,11 @@ safeguard, and the full problem by alternating the two halves from a
 set of seeded restarts.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
-batch of half-problems at once: the starts of a multistart, or every
-live restart of a seesaw, in lockstep.  Each member's arithmetic is the
-same whatever else is in the batch, so results do not depend on how
-the batch was composed.
+batch of half-problems at once: the starts of several multistarts (a
+whole fixed-code curve, a bounded number of gamma points per batch), or
+every live restart of a seesaw, in lockstep.  At a given padding width
+of the Kraus stacks, each member's arithmetic is the same whatever else
+is in the batch, so results do not depend on how the batch was composed.
 
 A slower projected-ascent solver over Choi matrices
 (:func:`oracle_optimize`) provides an independent cross-check of the
@@ -26,7 +27,8 @@ half-problem optima; it is used by the test suite, not the seesaw loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +65,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
+        # Written so that NaN fails too.
+        if not (self.inner_tol > 0 and self.outer_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_inner_iters < 1 or self.max_outer_rounds < 1:
             raise ValueError("iteration limits must be >= 1")
@@ -402,6 +405,67 @@ def _first_best(f: Sequence[float]) -> int:
     return best
 
 
+# Most problems that optimize_recovery_multistarts puts in one kernel
+# batch, so that peak memory does not grow with the grid.  A batch holds
+# every member's operator and working arrays until its slowest member
+# stops.  On the 21-point fixed-code curve, one batch of all 20 problems
+# raised peak RSS from 39.5 to 44.8 MiB; ten (30 members) give 42.8 MiB
+# at the same speed, since the step count is set by the slowest member
+# either way, and five give 40.7 MiB but take 13% longer.
+MULTISTART_BATCH = 10
+
+
+def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
+                        rng_seed: int, extra_starts: Sequence[Channel]
+                        ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The recovery operator of one problem and the Kraus stacks of its starts."""
+    x = fidelity_operator_recovery(encoder.as_channel(), noise).x
+    for c in extra_starts:
+        if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
+            raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
+                             f"recovery shape ({encoder.d_in}, {noise.d_out})")
+    rng = np.random.default_rng(rng_seed)
+    starts = [reversal_recovery(encoder), *extra_starts]
+    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
+               for _ in range(2)]
+    return x, [np.stack(c.kraus) for c in starts]
+
+
+def optimize_recovery_multistarts(
+        problems: Iterable[Tuple[Isometry, Channel, int, Sequence[Channel]]],
+        opts: SolveOptions) -> List[HalfResult]:
+    """Best recovery of each ``(encoder, noise, rng_seed, extra_starts)`` problem.
+
+    Each problem's starts are :func:`optimize_recovery_multistart`'s.  The
+    starts of up to ``MULTISTART_BATCH`` problems run as one kernel batch,
+    and each problem's inputs are dropped once its operator and starts are
+    built, so ``problems`` may be a generator that builds each noise
+    channel on demand.  Members are zero-padded to the widest start in
+    their batch, and the width can change the last bits, so a result is
+    bit-identical to its one-problem call when every problem's widest start
+    has the same number of Kraus operators (as on a fixed-code curve).
+    """
+    out: List[HalfResult] = []
+    problems = iter(problems)
+    while True:
+        xs: List[np.ndarray] = []
+        stacks: List[np.ndarray] = []
+        spans: List[Tuple[int, int]] = []
+        for encoder, noise, rng_seed, extra_starts in islice(problems, MULTISTART_BATCH):
+            x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts)
+            spans.append((len(stacks), len(stacks) + len(starts)))
+            xs += [x] * len(starts)
+            stacks += starts
+        if not spans:
+            return out
+        ks, counts = _pad(stacks)
+        best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL)
+        for lo, hi in spans:
+            j = lo + _first_best(f[lo:hi])
+            out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
+                                  int(iters[lo:hi].sum()), bool(conv[j])))
+
+
 def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
                                  opts: SolveOptions, rng_seed: int,
                                  extra_starts: Sequence[Channel] = ()
@@ -412,25 +476,13 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
     and two random channels drawn from a generator seeded with
     ``rng_seed``, run as one batch; ties go to the earliest start.  Also
     the exact routine behind the "optimized decoding with the fixed
-    4-qubit code" sweep mode and the seesaw's initial recoveries, so the
-    seesaw's seeded restarts dominate that curve by construction.
-    ``iterations`` counts the steps of all starts.
+    4-qubit code" sweep mode (through :func:`optimize_recovery_multistarts`,
+    of which this is the one-problem call) and the seesaw's initial
+    recoveries, so the seesaw's seeded restarts dominate that curve by
+    construction.  ``iterations`` counts the steps of all starts.
     """
-    x = fidelity_operator_recovery(encoder.as_channel(), noise).x
-    for c in extra_starts:
-        if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
-            raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
-                             f"recovery shape ({encoder.d_in}, {noise.d_out})")
-    rng = np.random.default_rng(rng_seed)
-    starts = [reversal_recovery(encoder), *extra_starts]
-    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
-               for _ in range(2)]
-    ks, counts = _pad([np.stack(c.kraus) for c in starts])
-    best, f, iters, conv = _power_batch(np.broadcast_to(x, (len(ks),) + x.shape),
-                                        ks, opts, COMPLETENESS_TOL)
-    j = _first_best(f)
-    return HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]), int(iters.sum()),
-                      bool(conv[j]))
+    return optimize_recovery_multistarts([(encoder, noise, rng_seed, extra_starts)],
+                                         opts)[0]
 
 
 def _noiseless(noise_single: Channel) -> bool:

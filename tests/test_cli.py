@@ -145,3 +145,8 @@ class TestMain:
         rc = q.cli.main(["--steps", "1", "--modes", "nocoding"])
         assert rc != 0
         assert "steps" in capsys.readouterr().err
+
+    def test_nan_tolerance_is_an_error(self, capsys):
+        rc = q.cli.main(["--tol", "nan", "--steps", "2", "--modes", "nocoding"])
+        assert rc == 1
+        assert "tolerances must be positive" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """The stacked power-step kernel against the single-member loop it replaced,
-and the lockstep seesaw's independence from how its batches are composed."""
+and the independence of the lockstep multistart and seesaw from how their
+batches are composed."""
 
 import numpy as np
 import pytest
 
 import seesawqec as q
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import _lowdin, _pad, _power_batch, _renormalize
+from seesawqec.optimizer import (MULTISTART_BATCH, _lowdin, _pad, _power_batch,
+                                 _renormalize)
 
 
 def reference_renormalize(ks, tol):
@@ -185,3 +187,53 @@ class TestLockstepSeesaw:
         with pytest.raises(ValueError, match="does not match"):
             q.optimize_recovery_multistart(q.leung_encoder(), noise, q.SolveOptions(), 1,
                                            extra_starts=[q.identity_channel(2)])
+
+
+class TestBatchedMultistart:
+    """Several recovery multistarts in one call against one call each."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        opts = q.SolveOptions(seed=7)
+        leung = q.leung_encoder()
+
+        def noise(gamma):
+            return q.tensor_power(q.amplitude_damping(gamma), 4)
+
+        # At gamma=1 the renormalization fails on step 1.
+        gammas = [0.05, 0.3, 1.0] + [0.1 * k for k in range(1, MULTISTART_BATCH)]
+        problems = [(leung, noise(g), 8, ()) for g in gammas]
+        # Seesaw-style: another encoder, an extra start and another seed.
+        problems.insert(3, (q.trivial_embedding(4), noise(0.3), 7,
+                            [q.partial_trace_recovery(4)]))
+        assert len(problems) > MULTISTART_BATCH
+        return opts, problems
+
+    def test_each_result_equals_its_one_problem_call(self, problems):
+        opts, problems = problems
+        batched = q.optimize_recovery_multistarts(iter(problems), opts)
+        assert len(batched) == len(problems)
+        for (enc, noise, seed, extra), res in zip(problems, batched):
+            alone = q.optimize_recovery_multistart(enc, noise, opts, seed, extra)
+            assert res.fidelity == alone.fidelity
+            assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+            assert len(res.channel.kraus) == len(alone.channel.kraus)
+            for a, b in zip(res.channel.kraus, alone.channel.kraus):
+                np.testing.assert_array_equal(a, b)
+
+    def test_fixed_code_sweep_equals_a_loop_of_one_problem_calls(self):
+        opts = q.SolveOptions(seed=7)
+        config = q.SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
+                               modes=("leung_optrec",), options=opts)
+        records = q.run_sweep(config)
+        assert len(records) == config.steps
+        for r in records:
+            if r.gamma == 0.0:
+                expect = (1.0, 0, 0, 1, True)
+            else:
+                res = q.optimize_recovery_multistart(
+                    q.leung_encoder(), q.tensor_power(q.amplitude_damping(r.gamma), 4),
+                    opts, rng_seed=opts.seed + q.optimizer.LEUNG_RESTART_INDEX)
+                expect = (res.fidelity, res.iterations, 1, 1, res.converged)
+            assert (r.fidelity, r.inner_iterations_total, r.outer_rounds,
+                    r.restarts_used, r.converged) == expect, r.gamma

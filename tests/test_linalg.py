@@ -225,6 +225,12 @@ class TestInvSqrtPsd:
         with pytest.raises(ValueError, match="positive"):
             linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, 0.0]))
 
+    def test_rejects_nan_floor(self):
+        with pytest.raises(ValueError, match="positive"):
+            linalg.inv_sqrt_psd(np.eye(2), eps=np.nan)
+        with pytest.raises(ValueError, match="positive"):
+            linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, np.nan]))
+
 
 class TestVec:
     def test_identity_entries(self):

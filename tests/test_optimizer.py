@@ -248,6 +248,11 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="positive"):
             q.SolveOptions(inner_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["inner_tol", "outer_tol"])
+    def test_rejects_nan_tolerances(self, field):
+        with pytest.raises(ValueError, match="positive"):
+            q.SolveOptions(**{field: float("nan")})
+
     def test_rejects_bad_ranks(self):
         with pytest.raises(ValueError, match=">= 1"):
             q.SolveOptions(kraus_rank_recovery=0)
