@@ -121,8 +121,7 @@ def _run_seesaw(config: SweepConfig) -> List[SweepRecord]:
                                res.inner_iterations_total, res.outer_rounds,
                                res.restarts_used, res.converged,
                                (time.perf_counter() - t0) * 1e3))
-        if res.encoder_isometry is not None:
-            warm = [res.encoder_isometry]
+        warm = [res.encoder_isometry]
     return out
 
 

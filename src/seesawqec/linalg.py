@@ -40,14 +40,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, first factor's indices most significant."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -136,10 +128,3 @@ def inv_sqrt_psd(m, eps=DEFAULT_EIG_FLOOR) -> np.ndarray:
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization: <vec(A), vec(B)> = tr(A^dag B)."""
     return as_matrix(m).reshape(-1, order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
-    return v.reshape((rows, cols), order="F")

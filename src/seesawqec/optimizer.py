@@ -8,9 +8,10 @@ in the vectorized Kraus operators of the free channel:
 
 with X a PSD "fidelity operator" assembled from the fixed parts.  The
 half-problems are solved by a fixed-point power step (w <- X w followed
-by trace-preserving renormalization) with a monotone-acceptance
-safeguard, and the full problem by alternating the two halves from a
-set of seeded restarts.
+by trace-preserving renormalization), extrapolated along the previous
+step with Nesterov momentum that restarts whenever an extrapolated step
+would lower the fidelity, with a monotone-acceptance safeguard; the full
+problem by alternating the two halves from a set of seeded restarts.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the starts of several multistarts (a
@@ -61,7 +62,6 @@ class SolveOptions:
     outer_tol: float = 1e-9
     restarts: int = 8
     kraus_rank_recovery: int = 16
-    isometric_encoding: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -91,7 +91,7 @@ class SeesawResult:
     restarts_used: int
     converged: bool
     best_restart_seed: int
-    encoder_isometry: Optional[Isometry] = None
+    encoder_isometry: Isometry
     inner_iterations_total: int = 0
     outer_rounds: int = 0
     # accepted-fidelity trace of every restart, best one included
@@ -203,45 +203,66 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
     ``x`` is [B, D, D], one fidelity operator per member; ``ks`` is
     [B, r, o, i], the starting Kraus operators, zero-padded to a common
     count r (a zero Kraus operator stays exactly zero).  Each member
-    iterates K <- renormalize(X-step of K) on its own: a candidate is
-    accepted unless its fidelity drops by more than ``opts.inner_tol``;
-    the member stops on a drop, on a renormalization that fails
-    (completeness off by more than ``tol``), when the accepted step
-    changes the fidelity by less than ``opts.inner_tol`` (converged), or
-    after ``opts.max_inner_iters`` steps.  A step is a few stacked
-    matmuls and one stacked eigh over the members still running; stopped
+    iterates K <- renormalize(X-step of Y) on its own, where
+    Y = K_t + beta_k (K_t - K_{t-1}) extrapolates along its last step
+    with beta_k = k / (k + 3) and k counts its consecutive accepted steps
+    (Nesterov momentum with adaptive restart: O'Donoghue & Candes,
+    "Adaptive restart for accelerated gradient schemes", 2015).  An
+    extrapolated candidate (k > 0) is kept only if it is complete and
+    does not lower the fidelity; otherwise the member redoes the plain
+    step from K_t (the k = 0 case, Y = K_t) and k restarts from 0.  A
+    plain candidate is accepted unless its fidelity drops by more than
+    ``opts.inner_tol``; the member stops on a drop, on a renormalization
+    that fails (completeness off by more than ``tol``), when the accepted
+    step changes the fidelity by less than ``opts.inner_tol``
+    (converged), or after ``opts.max_inner_iters`` steps.  A step is a
+    few stacked matmuls and one stacked eigh over the members still
+    running, plus one more over the members that fall back; stopped
     members leave the live arrays.
 
     Returns ``(best_ks, best_f, iterations, converged)`` per member, where
     ``best_ks`` is the best accepted iterate (the start if none beat it).
     """
     b, r, o, i = ks.shape
-    # Row k of v is ravel(K_k) = conj(w_k), so the rows of v @ X are the
-    # power step conj(X w_k), and the fidelity is sum_k conj(v_k) . (v X)_k.
+    # Row j of v is ravel(K_j) = conj(w_j), so the rows of v @ X are the
+    # power step conj(X w_j), and the fidelity is sum_j conj(v_j) . (v X)_j.
+    # The step is linear, so Y X = p_t + beta (p_t - p_{t-1}) with p = K X.
     v = ks.reshape(b, r, o * i)
     p = v @ x
+    p_prev = p
     f = _fidelities(v, p)
     best, best_f = v.copy(), f.copy()
     iterations = np.full(b, opts.max_inner_iters)
     converged = np.zeros(b, dtype=bool)
     live = np.arange(b)
+    k = np.zeros(b)
     for step in range(1, opts.max_inner_iters + 1):
-        cand, ok = _renormalize(p.reshape(len(live), r * o, i), tol)
+        # beta = 0 leaves p exactly as it is: the plain step.
+        y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
+        cand, ok = _renormalize(y.reshape(len(live), r * o, i), tol)
         cand = cand.reshape(len(live), r, o * i)
-        p = cand @ x
-        f_new = _fidelities(cand, p)
+        p_new = cand @ x
+        f_new = _fidelities(cand, p_new)
+        redo = (k > 0) & ~(ok & (f_new >= f))
+        if redo.any():
+            c, ok[redo] = _renormalize(p[redo].reshape(-1, r * o, i), tol)
+            c = c.reshape(-1, r, o * i)
+            cand[redo], p_new[redo] = c, c @ x[redo]
+            f_new[redo] = _fidelities(c, p_new[redo])
+            k[redo] = 0
         accept = ok & (f_new >= f - opts.inner_tol)
         up = accept & (f_new > best_f[live])
         best[live[up]] = cand[up]
         best_f[live[up]] = f_new[up]
         done = accept & (np.abs(f_new - f) < opts.inner_tol)
         converged[live[done]] = True
-        f = f_new
+        p_prev, p, f, k = p, p_new, f_new, k + 1
         stop = done | ~accept
         if stop.any():
             iterations[live[stop]] = step
             keep = ~stop
-            live, x, p, f = live[keep], x[keep], p[keep], f[keep]
+            live, x, p, p_prev, f, k = (live[keep], x[keep], p[keep], p_prev[keep],
+                                        f[keep], k[keep])
             if not live.size:
                 break
     return best.reshape(ks.shape), best_f, iterations, converged
@@ -252,10 +273,12 @@ def optimize_half(x: FidelityOperator, initial: Channel,
     """Maximize the quadratic-form fidelity over CPTP maps of fixed Kraus rank.
 
     Iterates the power step w <- X w followed by trace-preserving
-    renormalization.  An iterate is accepted only if the fidelity does
-    not drop by more than ``inner_tol``; on a larger drop the previous
-    iterate is kept and the iteration stops.  The best iterate seen is
-    returned, so the result never falls below the starting fidelity.
+    renormalization, from a point extrapolated along the previous step
+    (see :func:`_power_batch`).  An iterate is accepted only if the
+    fidelity does not drop by more than ``inner_tol``; on a larger drop
+    the previous iterate is kept and the iteration stops.  The best
+    iterate seen is returned, so the result never falls below the
+    starting fidelity.
     """
     if (initial.d_out, initial.d_in) != x.free_shape:
         raise ValueError(f"initial channel shape ({initial.d_out}, {initial.d_in}) "
@@ -522,7 +545,6 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     noise = tensor_power(noise_single, n)
     nks = np.stack(noise.kraus)
     seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
-    enc_tol = ISOMETRY_TOL if opts.isometric_encoding else COMPLETENESS_TOL
 
     traces, starts = [], []
     total_iters = 0
@@ -549,7 +571,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     while live:
         ys = np.stack([_encoding_operator(rec[i][:rec_count[i]], nks) for i in live])
         enc_new, f_e, it_e, _ = _power_batch(ys, np.stack([enc[i] for i in live]),
-                                             opts, enc_tol)
+                                             opts, ISOMETRY_TOL)
         xs_live = np.stack([_recovery_operator(e, nks) for e in enc_new])
         rec_new, f_r, it_r, _ = _power_batch(xs_live, np.stack([rec[i] for i in live]),
                                              opts, COMPLETENESS_TOL)
@@ -576,6 +598,6 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
         encoder=Channel([enc_b[0]]), recovery=Channel(list(rec_b[:rec_count[win]])),
         fidelity=f_b, fidelity_trace=traces[win], restarts_used=len(seeds),
         converged=converged[win], best_restart_seed=opts.seed + win,
-        encoder_isometry=Isometry(enc_b[0]) if opts.isometric_encoding else None,
+        encoder_isometry=Isometry(enc_b[0]),
         inner_iterations_total=total_iters, outer_rounds=rounds[win],
         restart_traces=traces)

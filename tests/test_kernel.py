@@ -1,14 +1,14 @@
-"""The stacked power-step kernel against the single-member loop it replaced,
-and the independence of the lockstep multistart and seesaw from how their
-batches are composed."""
+"""The stacked power-step kernel against a single-member loop of the same
+rule, its speed-up over the plain power step, and the independence of the
+lockstep multistart and seesaw from how their batches are composed."""
 
 import numpy as np
 import pytest
 
 import seesawqec as q
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import (MULTISTART_BATCH, _lowdin, _pad, _power_batch,
-                                 _renormalize)
+from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, _lowdin,
+                                 _multistart_members, _pad, _power_batch, _renormalize)
 
 
 def reference_renormalize(ks, tol):
@@ -29,8 +29,8 @@ def reference_fidelity(x, ks):
     return float(np.real(np.sum(w.conj() * (x @ w))))
 
 
-def reference_half(x, ks, opts, tol=1e-9):
-    """One half-problem at a time: the loop the kernel replaced.
+def plain_reference_half(x, ks, opts, tol=1e-9):
+    """One half-problem at a time, plain power step: the loop the kernel replaced.
 
     Returns (best Kraus stack, best fidelity, iterations, converged).
     """
@@ -48,6 +48,47 @@ def reference_half(x, ks, opts, tol=1e-9):
         if f_new < f_prev - opts.inner_tol:
             break
         ks = cand
+        if f_new > best_f:
+            best_ks, best_f = cand, f_new
+        if abs(f_new - f_prev) < opts.inner_tol:
+            converged = True
+            break
+        f_prev = f_new
+    return best_ks, best_f, iters, converged
+
+
+def reference_step(x, ks, tol):
+    """Power step from ks and renormalization: (candidate or None, its fidelity)."""
+    w = x @ ks.reshape(ks.shape[0], -1).conj().T
+    cand = reference_renormalize(w.conj().T.reshape(ks.shape), tol)
+    return cand, (None if cand is None else reference_fidelity(x, cand))
+
+
+def reference_half(x, ks, opts, tol=1e-9, fallbacks=None):
+    """One half-problem at a time with the kernel's rule: the power step from
+    Y = K_t + k/(k+3) (K_t - K_{t-1}), kept if complete and not lower,
+    else the plain step from K_t with k reset to 0.
+
+    Returns (best Kraus stack, best fidelity, iterations, converged); the
+    steps that fell back are appended to ``fallbacks`` if given.
+    """
+    f_prev = reference_fidelity(x, ks)
+    best_ks, best_f = ks, f_prev
+    ks_prev = ks
+    converged = False
+    iters = 0
+    k = 0
+    for _ in range(opts.max_inner_iters):
+        iters += 1
+        cand, f_new = reference_step(x, ks + k / (k + 3) * (ks - ks_prev), tol)
+        if k > 0 and (cand is None or f_new < f_prev):
+            if fallbacks is not None:
+                fallbacks.append(iters)
+            cand, f_new = reference_step(x, ks, tol)
+            k = 0
+        if cand is None or f_new < f_prev - opts.inner_tol:
+            break
+        ks_prev, ks, k = ks, cand, k + 1
         if f_new > best_f:
             best_ks, best_f = cand, f_new
         if abs(f_new - f_prev) < opts.inner_tol:
@@ -75,47 +116,68 @@ class TestKernelAgainstReference:
 
     @pytest.fixture(scope="class")
     def batch(self):
+        # At gamma=0.9 this start needs 13 steps, falling back on step 5.
         damping = q.fidelity_operator_recovery(q.identity_channel(2),
-                                               q.amplitude_damping(0.3)).x
+                                               q.amplitude_damping(0.9)).x
         ident = identity_objective(2)
         # "normal" goes last, so it stops at a batch position other than its index.
         members = [
             ("zero", ident, np.zeros((2, 2, 2), dtype=complex)),
             ("fixed_point", ident, np.stack(q.identity_channel(2).kraus)),
             ("capped", damping, np.stack(q.random_cptp(2, 2, 2,
-                                                       np.random.default_rng(5)).kraus)),
+                                                       np.random.default_rng(1)).kraus)),
             ("normal", ident, np.stack(q.random_isometry(2, 2, 77).as_channel().kraus)),
         ]
         opts = q.SolveOptions(max_inner_iters=self.CAP)
         ks, counts = _pad([m[2] for m in members])
         out = _power_batch(np.stack([m[1] for m in members]), ks, opts, 1e-9)
-        refs = [reference_half(x, k, opts) for _, x, k in members]
-        return members, counts, out, refs
+        fallbacks = {name: [] for name, _, _ in members}
+        refs = [reference_half(x, k, opts, fallbacks=fallbacks[name])
+                for name, x, k in members]
+        return members, counts, out, refs, fallbacks
 
     def test_fidelity_and_stop_match_reference(self, batch):
-        members, _, (_, f, iters, conv), refs = batch
+        members, _, (_, f, iters, conv), refs, _ = batch
         for b, (name, _, _) in enumerate(members):
             _, f_ref, it_ref, conv_ref = refs[b]
             assert abs(f[b] - f_ref) < 1e-10, name
             assert (iters[b], conv[b]) == (it_ref, conv_ref), name
 
     def test_each_member_stops_as_designed(self, batch):
-        members, _, (_, _, iters, conv), _ = batch
+        members, _, (_, _, iters, conv), _, fallbacks = batch
         stops = {name: (int(iters[b]), bool(conv[b]))
                  for b, (name, _, _) in enumerate(members)}
         assert stops["zero"] == (1, False)          # renormalization fails
         assert stops["fixed_point"] == (1, True)
         assert stops["capped"] == (self.CAP, False)
         assert stops["normal"][1] and stops["normal"][0] < self.CAP
+        # The capped member rejects an extrapolated step and redoes the plain one.
+        assert fallbacks["capped"] and fallbacks["capped"][-1] < self.CAP
 
     def test_outputs_are_cptp_and_padding_stays_zero(self, batch):
-        members, counts, (best, f, _, _), _ = batch
+        members, counts, (best, f, _, _), _, _ = batch
         for b, (name, _, _) in enumerate(members):
             assert not best[b, counts[b]:].any(), name
             if name == "zero":
                 assert f[b] == 0.0 and not best[b].any()
             else:
                 assert_complete(best[b, :counts[b]])
+
+
+class TestAcceleration:
+    """The extrapolated step against the plain power step on the fixed code."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5])
+    def test_fewer_steps_to_at_least_the_plain_optimum(self, gamma):
+        opts = q.SolveOptions(seed=7)
+        seed = opts.seed + LEUNG_RESTART_INDEX
+        noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+        res = q.optimize_recovery_multistart(q.leung_encoder(), noise, opts, rng_seed=seed)
+        x, starts = _multistart_members(q.leung_encoder(), noise, opts, seed, ())
+        assert len(starts) == 3
+        plain = [plain_reference_half(x, ks, opts) for ks in starts]
+        assert res.fidelity >= max(p[1] for p in plain) - 1e-12
+        assert 5 * res.iterations <= sum(p[2] for p in plain)
 
 
 def conditioned_stack(cond, seed=0):

@@ -231,13 +231,6 @@ class TestSeesaw:
                         extra_seed_encoders=[first.encoder_isometry])
         assert warm.restarts_used == opts.restarts + 1
 
-    def test_non_isometric_encoding_path_runs(self):
-        opts = q.SolveOptions(seed=6, restarts=2, max_outer_rounds=8,
-                              isometric_encoding=False)
-        res = q.seesaw(q.amplitude_damping(0.3), 2, opts)
-        bare = q.channel_fidelity(q.amplitude_damping(0.3))
-        assert res.fidelity >= bare - 1e-9
-
     def test_rejects_non_qubit_noise(self):
         with pytest.raises(ValueError, match="single-qubit"):
             q.seesaw(q.identity_channel(4), 2, q.SolveOptions())
