@@ -11,7 +11,10 @@ half-problems are solved by a fixed-point power step (w <- X w followed
 by trace-preserving renormalization), extrapolated along the previous
 step with Nesterov momentum that restarts whenever an extrapolated step
 would lower the fidelity, with a monotone-acceptance safeguard; the full
-problem by alternating the two halves from a set of seeded restarts.
+problem by alternating the two halves from a set of seeded restarts.  The
+alternation is extrapolated one level up in the same way: each round's
+recovery half sees the encoder pushed along its last change, and a round
+that would end below its encoder half's value is redone without it.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the starts of several multistarts (a
@@ -27,6 +30,7 @@ half-problem optima; it is used by the test suite, not the seesaw loop.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -65,6 +69,13 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_inner_iters", "max_outer_rounds", "restarts",
+                     "kraus_rank_recovery", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
         if not (self.inner_tol > 0 and self.outer_tol > 0):
             raise ValueError("tolerances must be positive")
@@ -521,17 +532,38 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     embedding, any warm-start encoders, and random isometries up to
     ``opts.restarts``.  Within each restart, recovery and encoding are
     optimized in turn until the per-round fidelity gain falls below
-    ``outer_tol``.  The best restart wins; ties go to the lowest index.
+    ``outer_tol`` or ``max_outer_rounds`` is reached.  The best restart
+    wins; ties go to the lowest index.
+
+    A round extrapolates the encoder the way the power step extrapolates
+    its iterate (adaptive-restart momentum, O'Donoghue & Candes 2015).
+    The encoder half returns E' at value f_e; the recovery half is then
+    solved at E_y = polar(E' + beta_k (E' - E'_prev)), beta_k = k/(k+3),
+    where E'_prev is the previous round's E' and k counts the rounds
+    since the restart's last fallback (E_y = E' when k = 0 or the polar
+    step fails).  If the round's value falls below f_e, its recovery half
+    is redone at E' from the same start and k is set to 0, so every
+    restart stays monotone.  The round records f_e and the recovery
+    half's value, and (E_y, recovery) is both the next round's start and
+    the pair whose fidelity is recorded.
 
     The restarts run in lockstep: after each restart's multistart
     (:func:`optimize_recovery_multistart`, one batch per restart), each
     round runs one encoder-half batch and one recovery-half batch over
-    the restarts still going.
+    the restarts still going, plus one more recovery-half batch over
+    those that fall back.
+
+    Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    for j, iso in enumerate(extra_seed_encoders):
+        if not isinstance(iso, Isometry) or iso.v.shape != (2 ** n, 2):
+            shape = iso.v.shape if isinstance(iso, Isometry) else type(iso).__name__
+            raise ValueError(f"warm-start encoder {j} must be a 2 -> {2 ** n} isometry "
+                             f"for n = {n}, got {shape}")
 
     if _noiseless(noise_single):
         iso = trivial_embedding(n)
@@ -556,8 +588,8 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
         total_iters += res.iterations
     # Pad every recovery to the widest start a multistart can have (the
     # reversal's d_code - 1 operators or the random rank), so the batch
-    # shape does not depend on which restarts exist.  Arrays returned by
-    # the kernel are never written again, so the state and the best
+    # shape does not depend on which restarts exist.  Arrays are never
+    # written once a round has stored them, so the state and the best
     # snapshots can hold views into them.
     padded, rec_count = _pad(starts, max(noise.d_out - 1, opts.kraus_rank_recovery))
     rec = list(padded)
@@ -567,18 +599,39 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     rounds = [0] * len(seeds)
     converged = [False] * len(seeds)
 
+    # Per restart: the encoder half's last output E' and the number k of
+    # rounds since the last fallback, which set the extrapolation below.
+    e_half = list(enc)
+    k = np.zeros(len(seeds))
     live = list(range(len(seeds)))
     while live:
         ys = np.stack([_encoding_operator(rec[i][:rec_count[i]], nks) for i in live])
         enc_new, f_e, it_e, _ = _power_batch(ys, np.stack([enc[i] for i in live]),
                                              opts, ISOMETRY_TOL)
-        xs_live = np.stack([_recovery_operator(e, nks) for e in enc_new])
-        rec_new, f_r, it_r, _ = _power_batch(xs_live, np.stack([rec[i] for i in live]),
-                                             opts, COMPLETENESS_TOL)
+        # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
+        kl = k[live]
+        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (
+            enc_new - np.stack([e_half[i] for i in live]))
+        e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
+        ext = ok & (kl > 0)
+        e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
+        rec_start = np.stack([rec[i] for i in live])
+        xs_live = np.stack([_recovery_operator(e, nks) for e in e_y])
+        rec_new, f_r, it_r, _ = _power_batch(xs_live, rec_start, opts, COMPLETENESS_TOL)
         total_iters += int(it_e.sum() + it_r.sum())
+        # A round that ends below f_e redoes its recovery half at E'.
+        back = ext & (f_r < f_e)
+        if back.any():
+            xs_back = np.stack([_recovery_operator(e, nks) for e in enc_new[back]])
+            rec_new[back], f_r[back], it_b, _ = _power_batch(xs_back, rec_start[back],
+                                                             opts, COMPLETENESS_TOL)
+            e_y[back] = enc_new[back]
+            total_iters += int(it_b.sum())
+        k[live] = np.where(back, 0, kl + 1)
         still = []
         for pos, i in enumerate(live):
-            enc[i], rec[i] = enc_new[pos], rec_new[pos]
+            e_half[i] = enc_new[pos]
+            enc[i], rec[i] = e_y[pos], rec_new[pos]
             trace = traces[i]
             trace.append(max(float(f_e[pos]), trace[-1]))
             trace.append(max(float(f_r[pos]), trace[-1]))

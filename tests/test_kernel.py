@@ -1,14 +1,17 @@
 """The stacked power-step kernel against a single-member loop of the same
-rule, its speed-up over the plain power step, and the independence of the
+rule, its speed-up over the plain power step, the lockstep seesaw against
+a one-restart loop of its extrapolated round, and the independence of the
 lockstep multistart and seesaw from how their batches are composed."""
 
 import numpy as np
 import pytest
 
 import seesawqec as q
+from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, _lowdin,
-                                 _multistart_members, _pad, _power_batch, _renormalize)
+                                 _multistart_members, _pad, _power_batch, _renormalize,
+                                 _seed_isometries)
 
 
 def reference_renormalize(ks, tol):
@@ -216,6 +219,87 @@ class TestRenormalizeRedo:
         best, f, iters, conv = _power_batch(x[None], ks[None], opts, 1e-9)
         assert abs(f[0] - 2.0) < 1e-12 and conv[0] and iters[0] == 2
         assert_complete(best[0])
+
+
+def reference_polar(y):
+    """Polar factor y (y^dag y)^(-1/2), or None if it is not an isometry."""
+    p = y @ inv_sqrt_psd(y.conj().T @ y)
+    if np.max(np.abs(p.conj().T @ p - np.eye(y.shape[1]))) > ISOMETRY_TOL:
+        return None
+    return p
+
+
+def reference_restart(noise, iso, rec, f0, opts, fallbacks):
+    """One seesaw restart at a time with the extrapolated round.
+
+    Each round solves the encoder half (E', f_e), then the recovery half
+    at E_y = polar(E' + k/(k+3) (E' - E'_prev)) (E' itself when k = 0 or
+    the polar step fails); if that ends below f_e, the recovery half is
+    redone at E' and k is reset to 0.  The halves are the one-member
+    public solvers.  Returns (trace, converged); the rounds that fell back
+    are appended to ``fallbacks``.
+    """
+    trace = [f0]
+    enc, e_prev, k = iso.v, None, 0
+    while True:
+        y = q.fidelity_operator_encoding(rec, noise)
+        e_half, f_e, _, _ = q.optimize_encoding_isometric(y, q.Isometry(enc), opts)
+        e = e_y = e_half.v
+        if k > 0:
+            p = reference_polar(e + k / (k + 3) * (e - e_prev))
+            if p is not None:
+                e_y = p
+        x = q.fidelity_operator_recovery(q.Channel([e_y]), noise)
+        half = q.optimize_half(x, rec, opts)
+        if e_y is not e and half.fidelity < f_e:
+            fallbacks.append(len(trace) // 2 + 1)
+            x = q.fidelity_operator_recovery(q.Channel([e]), noise)
+            half = q.optimize_half(x, rec, opts)
+            e_y, k = e, 0
+        else:
+            k += 1
+        trace.append(max(f_e, trace[-1]))
+        trace.append(max(half.fidelity, trace[-1]))
+        enc, e_prev, rec = e_y, e, half.channel
+        if trace[-1] - trace[-3] < opts.outer_tol:
+            return trace, True
+        if len(trace) // 2 == opts.max_outer_rounds:
+            return trace, False
+
+
+class TestExtrapolatedSeesaw:
+    """The lockstep seesaw against one restart at a time of its round rule."""
+
+    @pytest.mark.parametrize("gamma, rounds", [(0.3, 200), (0.2, 40)])
+    def test_restarts_match_the_one_restart_reference(self, gamma, rounds):
+        n = 3
+        opts = q.SolveOptions(seed=7, restarts=4, max_outer_rounds=rounds)
+        res = q.seesaw(q.amplitude_damping(gamma), n, opts)
+        noise = q.tensor_power(q.amplitude_damping(gamma), n)
+        fallbacks, refs = [], []
+        for idx, (name, iso) in enumerate(_seed_isometries(n, 2 ** n, opts, ())):
+            extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
+            start = q.optimize_recovery_multistart(iso, noise, opts, opts.seed + idx, extra)
+            refs.append(reference_restart(noise, iso, start.channel, start.fidelity, opts,
+                                          fallbacks))
+        assert len(res.restart_traces) == len(refs)
+        for got, (trace, _) in zip(res.restart_traces, refs):
+            assert len(got) == len(trace)
+            assert max(abs(a - b) for a, b in zip(got, trace)) < 1e-10
+        win = res.best_restart_seed - opts.seed
+        assert (res.outer_rounds, res.converged) == (len(refs[win][0]) // 2, refs[win][1])
+        assert fallbacks
+        # The returned pair is the one whose fidelity was recorded.
+        f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
+        assert abs(f - res.fidelity) < 1e-9
+
+    def test_cold_start_converges_above_the_plain_capped_value(self):
+        # The plain alternation stopped every non-trivial restart at the
+        # 200-round cap here, at 0.9893459142428619.
+        opts = q.SolveOptions(seed=7, restarts=3)
+        res = q.seesaw(q.amplitude_damping(0.1), 4, opts)
+        assert res.converged and res.outer_rounds < opts.max_outer_rounds
+        assert res.fidelity >= 0.9893459142428619
 
 
 class TestLockstepSeesaw:

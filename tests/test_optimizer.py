@@ -231,6 +231,13 @@ class TestSeesaw:
                         extra_seed_encoders=[first.encoder_isometry])
         assert warm.restarts_used == opts.restarts + 1
 
+    @pytest.mark.parametrize("warm", [q.random_isometry(3, 8, 1), q.random_isometry(2, 16, 1),
+                                      np.eye(8, 2)])
+    def test_rejects_a_warm_start_that_is_not_a_2_to_2n_isometry(self, warm):
+        with pytest.raises(ValueError, match="warm-start encoder 0 must be a 2 -> 8 isometry"):
+            q.seesaw(q.amplitude_damping(0.3), 3, q.SolveOptions(restarts=2),
+                     extra_seed_encoders=[warm])
+
     def test_rejects_non_qubit_noise(self):
         with pytest.raises(ValueError, match="single-qubit"):
             q.seesaw(q.identity_channel(4), 2, q.SolveOptions())
@@ -249,6 +256,22 @@ class TestSolveOptions:
     def test_rejects_bad_ranks(self):
         with pytest.raises(ValueError, match=">= 1"):
             q.SolveOptions(kraus_rank_recovery=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_inner_iters", 2.5), ("max_outer_rounds", 1.5), ("restarts", 2.5),
+        ("kraus_rank_recovery", 2.5), ("seed", 7.0), ("restarts", True),
+        ("max_inner_iters", "10")])
+    def test_rejects_non_integer_limits(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            q.SolveOptions(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            q.SolveOptions(seed=-1)
+
+    def test_accepts_numpy_integers(self):
+        opts = q.SolveOptions(restarts=np.int64(3), seed=np.int32(7))
+        assert (opts.restarts, opts.seed) == (3, 7)
 
 
 class TestRandomCptp:
