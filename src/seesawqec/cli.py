@@ -24,7 +24,7 @@ import numpy as np
 from .channels import amplitude_damping, channel_fidelity, tensor_power
 from .codes import Isometry, leung_encoder
 from .optimizer import (LEUNG_RESTART_INDEX, SolveOptions,
-                        optimize_recovery_multistarts, seesaw)
+                        optimize_recovery_multistarts, require_integers, seesaw)
 
 ALL_MODES = ("leung_optrec", "nocoding", "seesaw")
 
@@ -41,6 +41,7 @@ class SweepConfig:
     svg_path: Optional[str] = None
 
     def __post_init__(self):
+        require_integers(self, ("steps", "copies"))
         if not (0.0 <= self.gamma_min <= 1.0 and 0.0 <= self.gamma_max <= 1.0):
             raise ValueError("gamma_min/gamma_max must lie in [0, 1]")
         if self.gamma_min > self.gamma_max:

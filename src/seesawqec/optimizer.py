@@ -14,7 +14,11 @@ would lower the fidelity, with a monotone-acceptance safeguard; the full
 problem by alternating the two halves from a set of seeded restarts.  The
 alternation is extrapolated one level up in the same way: each round's
 recovery half sees the encoder pushed along its last change, and a round
-that would end below its encoder half's value is redone without it.
+that would end below its encoder half's value is redone without it.  It
+is also inexact: a round solves its halves only to a fixed fraction
+(``SEESAW_KAPPA``) of the restart's gain over its last round, and never
+tighter than ``inner_tol``; a restart counts as converged only on a
+round whose halves ran at ``inner_tol``.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the starts of several multistarts (a
@@ -58,8 +62,33 @@ class FidelityOperator:
     free_shape: Tuple[int, int]
 
 
+def require_integers(obj, names: Sequence[str]) -> None:
+    """Raise ValueError unless each named field of ``obj`` is an integer.
+
+    NumPy integers pass; ``bool`` and integral floats such as 3.0 do not.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
+    """Limits, tolerances and seeds of the solvers.
+
+    ``max_inner_iters``: power steps per half-problem.  ``inner_tol``: a
+    half-problem stops when one accepted step changes the fidelity by
+    less than this, and a step may lower it by at most this much.  In a
+    seesaw round it is the floor of the halves' stop tolerance, which is
+    looser while the restart still gains (see :func:`seesaw`).
+    ``max_outer_rounds``: seesaw rounds per restart.  ``outer_tol``: a
+    seesaw restart has converged when a round at the floor tolerance
+    gains less than this.  ``restarts``: seeded seesaw restarts besides
+    warm starts.  ``kraus_rank_recovery``: Kraus rank of the random
+    recovery starts.  ``seed``: base of every seed the solvers derive.
+    """
+
     max_inner_iters: int = 2000
     inner_tol: float = 1e-10
     max_outer_rounds: int = 200
@@ -69,11 +98,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_inner_iters", "max_outer_rounds", "restarts",
-                     "kraus_rank_recovery", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integers(self, ("max_inner_iters", "max_outer_rounds", "restarts",
+                                "kraus_rank_recovery", "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
@@ -207,7 +233,8 @@ def _fidelities(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (v.conj() * p).reshape(len(v), -1).sum(axis=1).real
 
 
-def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
+def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
+                 stop_tol: Optional[np.ndarray] = None
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the power step on a batch of half-problems until every member stops.
 
@@ -225,8 +252,10 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
     plain candidate is accepted unless its fidelity drops by more than
     ``opts.inner_tol``; the member stops on a drop, on a renormalization
     that fails (completeness off by more than ``tol``), when the accepted
-    step changes the fidelity by less than ``opts.inner_tol``
-    (converged), or after ``opts.max_inner_iters`` steps.  A step is a
+    step changes the fidelity by less than its stop tolerance
+    (converged), or after ``opts.max_inner_iters`` steps.  The stop
+    tolerance is ``stop_tol[b]`` per member, ``opts.inner_tol`` for all
+    when it is None; it enters only that test.  A step is a
     few stacked matmuls and one stacked eigh over the members still
     running, plus one more over the members that fall back; stopped
     members leave the live arrays.
@@ -247,6 +276,8 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
     converged = np.zeros(b, dtype=bool)
     live = np.arange(b)
     k = np.zeros(b)
+    if stop_tol is None:
+        stop_tol = np.full(b, opts.inner_tol)
     for step in range(1, opts.max_inner_iters + 1):
         # beta = 0 leaves p exactly as it is: the plain step.
         y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
@@ -265,7 +296,7 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float
         up = accept & (f_new > best_f[live])
         best[live[up]] = cand[up]
         best_f[live[up]] = f_new[up]
-        done = accept & (np.abs(f_new - f) < opts.inner_tol)
+        done = accept & (np.abs(f_new - f) < stop_tol[live])
         converged[live[done]] = True
         p_prev, p, f, k = p, p_new, f_new, k + 1
         stop = done | ~accept
@@ -519,6 +550,18 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
                                          opts)[0]
 
 
+# Inexact alternation: a seesaw round stops each half once one accepted
+# step changes the fidelity by less than SEESAW_KAPPA times the restart's
+# gain over its last round (never less than inner_tol), so a half is
+# solved only as tightly as the alternation's progress needs.  Scanned on
+# the full figure (seed 7; seesaw_sweep solve-time ratio, then the worst
+# per-gamma drop against the exact halves): 0.001 1.44x, -2.5e-6;
+# 0.003 1.53x, -2.3e-6; 0.01 1.74x, -1.7e-8; 0.1 1.9x, -3.2e-6 with
+# gamma = 0.5 at the round cap; 1 about 1.85x, -9.1e-6 with two points
+# at the cap.
+SEESAW_KAPPA = 0.01
+
+
 def _noiseless(noise_single: Channel) -> bool:
     return (noise_single.d_in == noise_single.d_out
             and channel_fidelity(noise_single) >= 1.0 - 1e-15)
@@ -531,9 +574,18 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     Restart seeds: the 4-qubit damping code (when n = 4), the trivial
     embedding, any warm-start encoders, and random isometries up to
     ``opts.restarts``.  Within each restart, recovery and encoding are
-    optimized in turn until the per-round fidelity gain falls below
-    ``outer_tol`` or ``max_outer_rounds`` is reached.  The best restart
-    wins; ties go to the lowest index.
+    optimized in turn until a round at the floor tolerance (below) gains
+    less than ``outer_tol`` (converged) or ``max_outer_rounds`` is
+    reached.  The best restart wins; ties go to the lowest index.
+
+    The halves are solved inexactly.  In each round, every half of a
+    restart (encoder, recovery and a fallback recovery) stops once an
+    accepted power step changes the fidelity by less than
+    max(inner_tol, SEESAW_KAPPA * g), where g is the restart's gain over
+    its previous round (0 in its first round).  A round that gains less
+    than ``outer_tol`` ends the restart as converged only if it ran at
+    the floor, SEESAW_KAPPA * g <= inner_tol; otherwise the restart runs
+    one more round, which is then at the floor.
 
     A round extrapolates the encoder the way the power step extrapolates
     its iterate (adaptive-restart momentum, O'Donoghue & Candes 2015).
@@ -547,11 +599,11 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     half's value, and (E_y, recovery) is both the next round's start and
     the pair whose fidelity is recorded.
 
-    The restarts run in lockstep: after each restart's multistart
-    (:func:`optimize_recovery_multistart`, one batch per restart), each
-    round runs one encoder-half batch and one recovery-half batch over
-    the restarts still going, plus one more recovery-half batch over
-    those that fall back.
+    The restarts run in lockstep: after the restarts' initial recovery
+    multistarts (:func:`optimize_recovery_multistarts`, one call for
+    all), each round runs one encoder-half batch and one recovery-half
+    batch over the restarts still going, plus one more recovery-half
+    batch over those that fall back.
 
     Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
@@ -578,14 +630,15 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     nks = np.stack(noise.kraus)
     seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
 
-    traces, starts = [], []
-    total_iters = 0
-    for idx, (name, iso) in enumerate(seeds):
-        extra = [partial_trace_recovery(n)] if name == "trivial" else []
-        res = optimize_recovery_multistart(iso, noise, opts, opts.seed + idx, extra)
-        starts.append(np.stack(res.channel.kraus))
-        traces.append([res.fidelity])
-        total_iters += res.iterations
+    # Every restart's widest start has the same count (see _pad below), so
+    # one batched call gives each restart its one-problem result.
+    results = optimize_recovery_multistarts(
+        ((iso, noise, opts.seed + idx,
+          [partial_trace_recovery(n)] if name == "trivial" else [])
+         for idx, (name, iso) in enumerate(seeds)), opts)
+    starts = [np.stack(res.channel.kraus) for res in results]
+    traces = [[res.fidelity] for res in results]
+    total_iters = sum(res.iterations for res in results)
     # Pad every recovery to the widest start a multistart can have (the
     # reversal's d_code - 1 operators or the random rank), so the batch
     # shape does not depend on which restarts exist.  Arrays are never
@@ -600,14 +653,18 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     converged = [False] * len(seeds)
 
     # Per restart: the encoder half's last output E' and the number k of
-    # rounds since the last fallback, which set the extrapolation below.
+    # rounds since the last fallback, which set the extrapolation below,
+    # and its gain over its last round, which sets its halves' stop
+    # tolerance max(inner_tol, SEESAW_KAPPA * gain).
     e_half = list(enc)
     k = np.zeros(len(seeds))
+    gain = np.zeros(len(seeds))
     live = list(range(len(seeds)))
     while live:
+        stop_tol = np.maximum(opts.inner_tol, SEESAW_KAPPA * gain[live])
         ys = np.stack([_encoding_operator(rec[i][:rec_count[i]], nks) for i in live])
         enc_new, f_e, it_e, _ = _power_batch(ys, np.stack([enc[i] for i in live]),
-                                             opts, ISOMETRY_TOL)
+                                             opts, ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
         kl = k[live]
         y = enc_new + (kl / (kl + 3))[:, None, None, None] * (
@@ -617,14 +674,15 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
         rec_start = np.stack([rec[i] for i in live])
         xs_live = np.stack([_recovery_operator(e, nks) for e in e_y])
-        rec_new, f_r, it_r, _ = _power_batch(xs_live, rec_start, opts, COMPLETENESS_TOL)
+        rec_new, f_r, it_r, _ = _power_batch(xs_live, rec_start, opts, COMPLETENESS_TOL,
+                                             stop_tol)
         total_iters += int(it_e.sum() + it_r.sum())
         # A round that ends below f_e redoes its recovery half at E'.
         back = ext & (f_r < f_e)
         if back.any():
             xs_back = np.stack([_recovery_operator(e, nks) for e in enc_new[back]])
-            rec_new[back], f_r[back], it_b, _ = _power_batch(xs_back, rec_start[back],
-                                                             opts, COMPLETENESS_TOL)
+            rec_new[back], f_r[back], it_b, _ = _power_batch(
+                xs_back, rec_start[back], opts, COMPLETENESS_TOL, stop_tol[back])
             e_y[back] = enc_new[back]
             total_iters += int(it_b.sum())
         k[live] = np.where(back, 0, kl + 1)
@@ -638,10 +696,13 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             rounds[i] += 1
             if trace[-1] > snaps[i][2]:
                 snaps[i] = (enc[i], rec[i], trace[-1])
-            if trace[-1] - f_round[i] < opts.outer_tol:
+            # A small gain counts only from a round whose halves ran at the
+            # floor inner_tol; after a looser round, one more round decides.
+            g = trace[-1] - f_round[i]
+            if g < opts.outer_tol and stop_tol[pos] == opts.inner_tol:
                 converged[i] = True
             elif rounds[i] < opts.max_outer_rounds:
-                f_round[i] = trace[-1]
+                f_round[i], gain[i] = trace[-1], g
                 still.append(i)
         live = still
 

@@ -60,6 +60,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="copies"):
             q.SweepConfig(copies=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 3.0), ("copies", 4.0), ("copies", True), ("steps", "3")])
+    def test_rejects_non_integer_counts(self, field, value):
+        # 3.0 and 4.0 used to construct and then fail inside run_sweep;
+        # copies=True ran as one copy.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            q.SweepConfig(modes=("seesaw",), **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = q.SweepConfig(steps=np.int64(3), copies=np.int32(4))
+        assert (config.steps, config.copies) == (3, 4)
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):

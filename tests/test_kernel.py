@@ -9,9 +9,9 @@ import pytest
 import seesawqec as q
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, _lowdin,
-                                 _multistart_members, _pad, _power_batch, _renormalize,
-                                 _seed_isometries)
+from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, SEESAW_KAPPA,
+                                 _lowdin, _multistart_members, _pad, _power_batch,
+                                 _renormalize, _seed_isometries)
 
 
 def reference_renormalize(ks, tol):
@@ -67,14 +67,18 @@ def reference_step(x, ks, tol):
     return cand, (None if cand is None else reference_fidelity(x, cand))
 
 
-def reference_half(x, ks, opts, tol=1e-9, fallbacks=None):
+def reference_half(x, ks, opts, tol=1e-9, fallbacks=None, stop_tol=None):
     """One half-problem at a time with the kernel's rule: the power step from
     Y = K_t + k/(k+3) (K_t - K_{t-1}), kept if complete and not lower,
-    else the plain step from K_t with k reset to 0.
+    else the plain step from K_t with k reset to 0.  It stops when an
+    accepted step changes the fidelity by less than ``stop_tol``
+    (``opts.inner_tol`` if None).
 
     Returns (best Kraus stack, best fidelity, iterations, converged); the
     steps that fell back are appended to ``fallbacks`` if given.
     """
+    if stop_tol is None:
+        stop_tol = opts.inner_tol
     f_prev = reference_fidelity(x, ks)
     best_ks, best_f = ks, f_prev
     ks_prev = ks
@@ -94,7 +98,7 @@ def reference_half(x, ks, opts, tol=1e-9, fallbacks=None):
         ks_prev, ks, k = ks, cand, k + 1
         if f_new > best_f:
             best_ks, best_f = cand, f_new
-        if abs(f_new - f_prev) < opts.inner_tol:
+        if abs(f_new - f_prev) < stop_tol:
             converged = True
             break
         f_prev = f_new
@@ -183,6 +187,46 @@ class TestAcceleration:
         assert 5 * res.iterations <= sum(p[2] for p in plain)
 
 
+class TestStopTolerance:
+    """Per-member stop tolerances in one batch against one member at a time."""
+
+    TOLS = [1e-4, 1e-10, 1e-6, 1e-8]
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        opts = q.SolveOptions(seed=7)
+        x, starts = [], []
+        for gamma in (0.2, 0.5):
+            noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+            xg, sg = _multistart_members(q.leung_encoder(), noise, opts, 8, ())
+            x += [xg] * 2
+            starts += sg[1:]
+        ks, _ = _pad(starts)
+        return opts, np.stack(x), ks
+
+    def test_mixed_batch_equals_one_member_calls(self, members):
+        opts, x, ks = members
+        tols = np.array(self.TOLS)
+        best, f, iters, conv = _power_batch(x, ks, opts, 1e-9, tols)
+        for b, tol in enumerate(tols):
+            best1, f1, it1, conv1 = _power_batch(x[b:b + 1], ks[b:b + 1], opts, 1e-9,
+                                                 tols[b:b + 1])
+            assert f[b] == f1[0] and (iters[b], conv[b]) == (it1[0], conv1[0]), tol
+            np.testing.assert_array_equal(best[b], best1[0])
+            ref = reference_half(x[b], ks[b], opts, stop_tol=tol)
+            assert abs(f[b] - ref[1]) < 1e-10 and (iters[b], conv[b]) == ref[2:], tol
+
+    def test_looser_tolerance_stops_sooner_and_the_default_is_inner_tol(self, members):
+        opts, x, ks = members
+        _, f, iters, _ = _power_batch(x, ks, opts, 1e-9, np.array(self.TOLS))
+        floor = _power_batch(x, ks, opts, 1e-9, np.full(len(x), opts.inner_tol))
+        default = _power_batch(x, ks, opts, 1e-9)
+        for a, b in zip(floor, default):
+            np.testing.assert_array_equal(a, b)
+        assert iters[0] < floor[2][0] and iters[2] < floor[2][2]
+        assert iters[1] == floor[2][1] and f[1] == floor[1][1]
+
+
 def conditioned_stack(cond, seed=0):
     """16 Kraus operators 2x2, stacked [32, 2], with singular values 1 and 1/cond."""
     rng = np.random.default_rng(seed)
@@ -230,20 +274,63 @@ def reference_polar(y):
 
 
 def reference_restart(noise, iso, rec, f0, opts, fallbacks):
-    """One seesaw restart at a time with the extrapolated round.
+    """One seesaw restart at a time with the extrapolated round and inexact halves.
 
     Each round solves the encoder half (E', f_e), then the recovery half
     at E_y = polar(E' + k/(k+3) (E' - E'_prev)) (E' itself when k = 0 or
     the polar step fails); if that ends below f_e, the recovery half is
-    redone at E' and k is reset to 0.  The halves are the one-member
-    public solvers.  Returns (trace, converged); the rounds that fell back
-    are appended to ``fallbacks``.
+    redone at E' and k is reset to 0.  Every half of a round stops at
+    max(inner_tol, SEESAW_KAPPA * g), with g the restart's gain over its
+    previous round (0 in the first round), and a round that gains less
+    than ``outer_tol`` ends the restart as converged only if it ran at
+    inner_tol.  The halves are :func:`reference_half` on the unpadded
+    stacks.  Returns (trace, converged); the rounds that fell back are
+    appended to ``fallbacks``.
     """
     trace = [f0]
-    enc, e_prev, k = iso.v, None, 0
+    enc, e_prev, k, gain = iso.v, None, 0, 0.0
+    rec = np.stack(rec.kraus)
+    while True:
+        tol = max(opts.inner_tol, SEESAW_KAPPA * gain)
+        y = q.fidelity_operator_encoding(q.Channel(list(rec)), noise).x
+        e_ks, f_e, _, _ = reference_half(y, enc[None], opts, ISOMETRY_TOL, stop_tol=tol)
+        e = e_y = e_ks[0]
+        if k > 0:
+            p = reference_polar(e + k / (k + 3) * (e - e_prev))
+            if p is not None:
+                e_y = p
+        x = q.fidelity_operator_recovery(q.Channel([e_y]), noise).x
+        rec_new, f_r, _, _ = reference_half(x, rec, opts, stop_tol=tol)
+        if e_y is not e and f_r < f_e:
+            fallbacks.append(len(trace) // 2 + 1)
+            x = q.fidelity_operator_recovery(q.Channel([e]), noise).x
+            rec_new, f_r, _, _ = reference_half(x, rec, opts, stop_tol=tol)
+            e_y, k = e, 0
+        else:
+            k += 1
+        trace.append(max(f_e, trace[-1]))
+        trace.append(max(f_r, trace[-1]))
+        enc, e_prev, rec = e_y, e, rec_new
+        gain = trace[-1] - trace[-3]
+        if gain < opts.outer_tol and tol == opts.inner_tol:
+            return trace, True
+        if len(trace) // 2 == opts.max_outer_rounds:
+            return trace, False
+
+
+def exact_reference_restart(noise, iso, rec, f0, opts):
+    """:func:`reference_restart` with every half solved to ``inner_tol``.
+
+    The halves are the one-member public solvers, and a round that gains
+    less than ``outer_tol`` ends the restart.  Returns (trace, converged,
+    inner iterations).
+    """
+    trace = [f0]
+    enc, e_prev, k, iters = iso.v, None, 0, 0
     while True:
         y = q.fidelity_operator_encoding(rec, noise)
-        e_half, f_e, _, _ = q.optimize_encoding_isometric(y, q.Isometry(enc), opts)
+        e_half, f_e, it, _ = q.optimize_encoding_isometric(y, q.Isometry(enc), opts)
+        iters += it
         e = e_y = e_half.v
         if k > 0:
             p = reference_polar(e + k / (k + 3) * (e - e_prev))
@@ -251,10 +338,11 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
                 e_y = p
         x = q.fidelity_operator_recovery(q.Channel([e_y]), noise)
         half = q.optimize_half(x, rec, opts)
+        iters += half.iterations
         if e_y is not e and half.fidelity < f_e:
-            fallbacks.append(len(trace) // 2 + 1)
             x = q.fidelity_operator_recovery(q.Channel([e]), noise)
             half = q.optimize_half(x, rec, opts)
+            iters += half.iterations
             e_y, k = e, 0
         else:
             k += 1
@@ -262,9 +350,19 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
         trace.append(max(half.fidelity, trace[-1]))
         enc, e_prev, rec = e_y, e, half.channel
         if trace[-1] - trace[-3] < opts.outer_tol:
-            return trace, True
+            return trace, True, iters
         if len(trace) // 2 == opts.max_outer_rounds:
-            return trace, False
+            return trace, False, iters
+
+
+def seesaw_starts(noise, n, opts):
+    """(seed isometry, initial recovery multistart) of each restart of seesaw(n)."""
+    out = []
+    for idx, (name, iso) in enumerate(_seed_isometries(n, 2 ** n, opts, ())):
+        extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
+        out.append((iso, q.optimize_recovery_multistart(iso, noise, opts, opts.seed + idx,
+                                                        extra)))
+    return out
 
 
 class TestExtrapolatedSeesaw:
@@ -276,12 +374,9 @@ class TestExtrapolatedSeesaw:
         opts = q.SolveOptions(seed=7, restarts=4, max_outer_rounds=rounds)
         res = q.seesaw(q.amplitude_damping(gamma), n, opts)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
-        fallbacks, refs = [], []
-        for idx, (name, iso) in enumerate(_seed_isometries(n, 2 ** n, opts, ())):
-            extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
-            start = q.optimize_recovery_multistart(iso, noise, opts, opts.seed + idx, extra)
-            refs.append(reference_restart(noise, iso, start.channel, start.fidelity, opts,
-                                          fallbacks))
+        fallbacks = []
+        refs = [reference_restart(noise, iso, start.channel, start.fidelity, opts, fallbacks)
+                for iso, start in seesaw_starts(noise, n, opts)]
         assert len(res.restart_traces) == len(refs)
         for got, (trace, _) in zip(res.restart_traces, refs):
             assert len(got) == len(trace)
@@ -292,6 +387,33 @@ class TestExtrapolatedSeesaw:
         # The returned pair is the one whose fidelity was recorded.
         f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
         assert abs(f - res.fidelity) < 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.3])
+    def test_inexact_halves_reach_the_exact_value_in_half_the_steps(self, gamma):
+        n = 3
+        opts = q.SolveOptions(seed=7, restarts=4)
+        res = q.seesaw(q.amplitude_damping(gamma), n, opts)
+        noise = q.tensor_power(q.amplitude_damping(gamma), n)
+        exact = [(start.iterations,
+                  exact_reference_restart(noise, iso, start.channel, start.fidelity, opts))
+                 for iso, start in seesaw_starts(noise, n, opts)]
+        assert res.fidelity >= max(ref[0][-1] for _, ref in exact) - 1e-8
+        assert 2 * res.inner_iterations_total <= sum(it + ref[2] for it, ref in exact)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.55])
+    def test_no_restart_stops_after_a_loose_round(self, gamma):
+        # Each restart that stops before the cap stops on a round that
+        # gained less than outer_tol and ran at the floor inner_tol, that
+        # is, after a round that gained at most inner_tol / SEESAW_KAPPA.
+        opts = q.SolveOptions(seed=7)
+        res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
+        stopped = [t for t in res.restart_traces
+                   if len(t) // 2 < opts.max_outer_rounds]
+        assert len(stopped) > 1
+        for trace in stopped:
+            gains = [0.0] + [b - a for a, b in zip(trace[:-2:2], trace[2::2])]
+            assert gains[-1] < opts.outer_tol
+            assert SEESAW_KAPPA * gains[-2] <= opts.inner_tol
 
     def test_cold_start_converges_above_the_plain_capped_value(self):
         # The plain alternation stopped every non-trivial restart at the
