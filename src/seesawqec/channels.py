@@ -13,12 +13,13 @@ which is what the constructors below use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig, kron_all, partial_trace
+from .linalg import as_matrix, herm_eig, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CHOI_TOL = 1e-9
@@ -118,15 +119,23 @@ def tensor_power(c: Channel, n: int) -> Channel:
 
     Kraus operators are all n-fold Kronecker products of ``c``'s Kraus
     set, enumerated lexicographically with the first factor most
-    significant.
+    significant.  The stack is built by broadcasting one factor at a
+    time, left to right, so every entry is the same product, in the same
+    order, as ``np.kron`` chained over the factors.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"tensor power needs an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
     if n == 1:
         return c
-    import itertools
-    ops = [kron_all(combo) for combo in itertools.product(c.kraus, repeat=n)]
-    return Channel(ops)
+    a = np.stack(c.kraus)
+    (na, ro, ci), ops = a.shape, a
+    for _ in range(n - 1):
+        # ops[i] (x) a[j] at row-major index (i, j): the first factor most significant.
+        ops = (ops[:, None, :, None, :, None] * a[None, :, None, :, None, :]
+               ).reshape(len(ops) * na, ops.shape[1] * ro, ops.shape[2] * ci)
+    return Channel(list(ops))
 
 
 def apply(c: Channel, rho) -> np.ndarray:

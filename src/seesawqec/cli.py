@@ -55,6 +55,9 @@ class SweepConfig:
             raise ValueError(f"modes contains unknown entries {bad}")
         if not self.modes:
             raise ValueError("modes must be nonempty")
+        repeated = sorted({m for m in self.modes if self.modes.count(m) > 1})
+        if repeated:
+            raise ValueError(f"modes repeats {repeated}")
         if "leung_optrec" in self.modes and self.copies != 4:
             raise ValueError("leung_optrec requires copies = 4")
 

@@ -45,15 +45,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    out = None
-    for m in mats:
-        out = as_matrix(m) if out is None else np.kron(out, as_matrix(m))
-    if out is None:
-        raise ValueError("kron_all needs at least one factor")
-    return out
-
-
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out the tensor factors of ``m`` not listed in ``keep``.
 

@@ -27,6 +27,17 @@ every live restart of a seesaw, in lockstep.  At a given padding width
 of the Kraus stacks, each member's arithmetic is the same whatever else
 is in the batch, so results do not depend on how the batch was composed.
 
+The kernel's inputs are built once per batch.  The recovery half's
+operators come from one stacked dense product over the batch's encoders
+(:func:`_recovery_operators`).  The seesaw's encoding-half operators are
+built qubit by qubit for every live restart at once: each recovery's
+Choi matrix is pushed through the single-qubit transfer matrix of the
+noise on one qubit at a time (:func:`_encoding_operators`), so the
+2^n-operator tensor power is never multiplied out for that half.  A
+multistart reuses the previous problem's starts when it shares their
+encoder, seed and extra starts, as every gamma of a fixed-code curve
+does.
+
 A slower projected-ascent solver over Choi matrices
 (:func:`oracle_optimize`) provides an independent cross-check of the
 half-problem optima; it is used by the test suite, not the seesaw loop.
@@ -146,28 +157,63 @@ def quadratic_fidelity(x: FidelityOperator, c: Channel) -> float:
     return float(np.real(np.sum(w.conj() * (x.x @ w))))
 
 
+def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
+    """(y + y^dag) / 2 with y = x / d^2, for each matrix of x [..., D, D], in place.
+
+    Working in place keeps a stack's temporaries few; the bits are those
+    of the out-of-place expression.
+    """
+    x /= d_logical * d_logical
+    x += x.conj().swapaxes(-1, -2)
+    x /= 2
+    return x
+
+
 def _operator(u: np.ndarray, d_logical: int) -> np.ndarray:
-    """X = (1/d^2) sum_p u_p u_p^dag from rows u_p = vec(C_p) of the fixed-part products."""
-    x = (u.T @ u.conj()) / (d_logical * d_logical)
-    return (x + x.conj().T) / 2
+    """X = (1/d^2) sum_p u_p u_p^dag from rows u_p = vec(C_p) of the fixed-part products.
+
+    ``u`` is [..., P, D]; a stack gives one X per member.
+    """
+    return _scaled_hermitian(u.swapaxes(-1, -2) @ u.conj(), d_logical)
 
 
-def _recovery_operator(e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Recovery-half X from encoder Kraus stack e [I, c, d] and noise stack n [J, m, c]."""
-    (ni, c, d), (nj, m, _) = e.shape, n.shape
-    # prods[(j, a), (i, b)] = (N_j E_i)[a, b]
-    prods = n.reshape(nj * m, c) @ e.transpose(1, 0, 2).reshape(c, ni * d)
-    u = prods.reshape(nj, m, ni, d).transpose(0, 2, 3, 1).reshape(nj * ni, d * m)
+def _recovery_operators(e: np.ndarray, nks: np.ndarray) -> np.ndarray:
+    """Recovery-half X of each encoder stack e [B, I, c, d], with noise stack nks [J, m, c]."""
+    (nb, ni, c, d), (nj, m, _) = e.shape, nks.shape
+    # prods[b, (j, a), (i, q)] = (N_j E_bi)[a, q]
+    prods = nks.reshape(nj * m, c) @ e.transpose(0, 2, 1, 3).reshape(nb, c, ni * d)
+    u = prods.reshape(nb, nj, m, ni, d).transpose(0, 1, 3, 4, 2).reshape(nb, nj * ni, d * m)
     return _operator(u, d)
 
 
-def _encoding_operator(r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Encoding-half X from recovery Kraus stack r [K, d, m] and noise stack n [J, m, c]."""
-    (nk, d, m), (nj, _, c) = r.shape, n.shape
-    # prods[(k, a), (j, b)] = (R_k N_j)[a, b]
-    prods = r.reshape(nk * d, m) @ n.transpose(1, 0, 2).reshape(m, nj * c)
-    u = prods.reshape(nk, d, nj, c).transpose(0, 2, 3, 1).reshape(nk * nj, c * d)
-    return _operator(u, d)
+def _encoding_operators(r: np.ndarray, a1: np.ndarray, n: int) -> np.ndarray:
+    """Encoding-half X of each recovery stack r [B, K, d, 2^n] for the noise a1^(x n).
+
+    ``a1`` [S, 2, 2] is the single-qubit Kraus set.  With
+    C = sum_k vec(R_k) vec(R_k)^dag (row-major vec, output index first),
+    X[(b, a), (b', a')] = (1/d^2) sum_{mu, nu} C[(a, mu), (a', nu)]
+    T[(mu, nu), (b, b')], where T = sum_j N_j (x) conj(N_j) over the
+    Kraus operators of a1^(x n) is the single-qubit transfer matrix
+    M = sum_s A_s (x) conj(A_s) on every qubit pair (mu_q, nu_q).  So M is
+    applied one qubit at a time instead of forming the 4^n Kraus
+    products.  Zero-padded Kraus rows of ``r`` add nothing.
+    """
+    nb, nk, d, m = r.shape
+    v = r.reshape(nb, nk, d * m)
+    c = (v.swapaxes(1, 2) @ v.conj()).reshape((nb, d) + (2,) * n + (d,) + (2,) * n)
+    # [B, a, a', mu_1, nu_1, ..., mu_n, nu_n]
+    pairs = [ax for q in range(n) for ax in (2 + q, 3 + n + q)]
+    t = c.transpose((0, 1, 2 + n) + tuple(pairs)).reshape((nb * d * d,) + (4,) * n)
+    mt = np.einsum("smb,snc->mnbc", a1, a1.conj()).reshape(4, 4)
+    # Contracting the leading qubit pair appends (b_q, b'_q) last, so after
+    # n contractions the qubits are back in order.
+    for _ in range(n):
+        t = np.tensordot(t, mt, axes=([1], [0]))
+    # [B, a, a', b_1, b'_1, ..., b_n, b'_n] -> [B, (b, a), (b', a')]
+    t = t.reshape((nb, d, d) + (2,) * (2 * n))
+    order = ((0,) + tuple(3 + 2 * q for q in range(n)) + (1,)
+             + tuple(4 + 2 * q for q in range(n)) + (2,))
+    return _scaled_hermitian(t.transpose(order).reshape(nb, m * d, m * d), d)
 
 
 def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOperator:
@@ -179,21 +225,26 @@ def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOper
     if encoder.d_out != noise.d_in:
         raise ValueError(f"encoder output dim {encoder.d_out} does not match "
                          f"noise input dim {noise.d_in}")
-    x = _recovery_operator(np.stack(encoder.kraus), np.stack(noise.kraus))
+    x = _recovery_operators(np.stack(encoder.kraus)[None], np.stack(noise.kraus))[0]
     return FidelityOperator(x, (encoder.d_in, noise.d_out))
 
 
 def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> FidelityOperator:
     """Fidelity operator for optimizing the encoding with N and R fixed.
 
-    Built from the products ``R_k N_j``; the free channel maps the
-    logical space into the noise input.
+    Built from the products ``R_k N_j`` of any noise channel; the free
+    channel maps the logical space into the noise input.  The seesaw
+    builds the same operator qubit by qubit (:func:`_encoding_operators`).
     """
     if noise.d_out != recovery.d_in:
         raise ValueError(f"noise output dim {noise.d_out} does not match "
                          f"recovery input dim {recovery.d_in}")
-    y = _encoding_operator(np.stack(recovery.kraus), np.stack(noise.kraus))
-    return FidelityOperator(y, (noise.d_in, recovery.d_out))
+    r, n = np.stack(recovery.kraus), np.stack(noise.kraus)
+    (nk, d, m), (nj, _, c) = r.shape, n.shape
+    # prods[(k, a), (j, b)] = (R_k N_j)[a, b]
+    prods = r.reshape(nk * d, m) @ n.transpose(1, 0, 2).reshape(m, nj * c)
+    u = prods.reshape(nk, d, nj, c).transpose(0, 2, 3, 1).reshape(nk * nj, c * d)
+    return FidelityOperator(_operator(u, d), (noise.d_in, recovery.d_out))
 
 
 def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,15 +531,32 @@ def _first_best(f: Sequence[float]) -> int:
 MULTISTART_BATCH = 10
 
 
+# What the starts of a recovery multistart depend on, and the Kraus stacks
+# of those starts: (encoder, rng_seed, extra_starts, noise.d_out, starts).
+_Starts = Tuple[Isometry, int, Sequence[Channel], int, List[np.ndarray]]
+
+
 def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
-                        rng_seed: int, extra_starts: Sequence[Channel]
+                        rng_seed: int, extra_starts: Sequence[Channel],
+                        last: Optional[_Starts] = None
                         ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The recovery operator of one problem and the Kraus stacks of its starts."""
+    """The recovery operator of one problem and the Kraus stacks of its starts.
+
+    The starts depend on the problem only through its encoder, seed,
+    extra starts and ``noise.d_out``.  When ``last`` holds the previous
+    problem's, and this one repeats all four (the same encoder and
+    extra-start objects), its start stacks are reused, not built again.
+    """
     x = fidelity_operator_recovery(encoder.as_channel(), noise).x
     for c in extra_starts:
         if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
             raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
                              f"recovery shape ({encoder.d_in}, {noise.d_out})")
+    if (last is not None and encoder is last[0] and rng_seed == last[1]
+            and len(extra_starts) == len(last[2])
+            and all(a is b for a, b in zip(extra_starts, last[2]))
+            and noise.d_out == last[3]):
+        return x, last[4]
     rng = np.random.default_rng(rng_seed)
     starts = [reversal_recovery(encoder), *extra_starts]
     starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
@@ -503,21 +571,27 @@ def optimize_recovery_multistarts(
 
     Each problem's starts are :func:`optimize_recovery_multistart`'s.  The
     starts of up to ``MULTISTART_BATCH`` problems run as one kernel batch,
-    and each problem's inputs are dropped once its operator and starts are
+    and each problem's noise channel is dropped once its operator is
     built, so ``problems`` may be a generator that builds each noise
-    channel on demand.  Members are zero-padded to the widest start in
-    their batch, and the width can change the last bits, so a result is
-    bit-identical to its one-problem call when every problem's widest start
-    has the same number of Kraus operators (as on a fixed-code curve).
+    channel on demand.  A problem that repeats the previous problem's
+    encoder, seed, extra starts and ``noise.d_out`` (every gamma of a
+    fixed-code curve) reuses its start stacks.  Members are zero-padded to
+    the widest start in their batch, and the width can change the last
+    bits, so a result is bit-identical to its one-problem call when every
+    problem's widest start has the same number of Kraus operators (as on
+    a fixed-code curve).
     """
     out: List[HalfResult] = []
     problems = iter(problems)
+    last: Optional[_Starts] = None
     while True:
         xs: List[np.ndarray] = []
         stacks: List[np.ndarray] = []
         spans: List[Tuple[int, int]] = []
         for encoder, noise, rng_seed, extra_starts in islice(problems, MULTISTART_BATCH):
-            x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts)
+            x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts,
+                                            last)
+            last = (encoder, rng_seed, extra_starts, noise.d_out, starts)
             spans.append((len(stacks), len(stacks) + len(starts)))
             xs += [x] * len(starts)
             stacks += starts
@@ -627,7 +701,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             restart_traces=[[1.0]])
 
     noise = tensor_power(noise_single, n)
-    nks = np.stack(noise.kraus)
+    nks, a1 = np.stack(noise.kraus), np.stack(noise_single.kraus)
     seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
 
     # Every restart's widest start has the same count (see _pad below), so
@@ -662,8 +736,9 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     live = list(range(len(seeds)))
     while live:
         stop_tol = np.maximum(opts.inner_tol, SEESAW_KAPPA * gain[live])
-        ys = np.stack([_encoding_operator(rec[i][:rec_count[i]], nks) for i in live])
-        enc_new, f_e, it_e, _ = _power_batch(ys, np.stack([enc[i] for i in live]),
+        rec_start = np.stack([rec[i] for i in live])
+        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n),
+                                             np.stack([enc[i] for i in live]),
                                              opts, ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
         kl = k[live]
@@ -672,17 +747,15 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
         e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
         ext = ok & (kl > 0)
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
-        rec_start = np.stack([rec[i] for i in live])
-        xs_live = np.stack([_recovery_operator(e, nks) for e in e_y])
-        rec_new, f_r, it_r, _ = _power_batch(xs_live, rec_start, opts, COMPLETENESS_TOL,
-                                             stop_tol)
+        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start, opts,
+                                             COMPLETENESS_TOL, stop_tol)
         total_iters += int(it_e.sum() + it_r.sum())
         # A round that ends below f_e redoes its recovery half at E'.
         back = ext & (f_r < f_e)
         if back.any():
-            xs_back = np.stack([_recovery_operator(e, nks) for e in enc_new[back]])
             rec_new[back], f_r[back], it_b, _ = _power_batch(
-                xs_back, rec_start[back], opts, COMPLETENESS_TOL, stop_tol[back])
+                _recovery_operators(enc_new[back], nks), rec_start[back], opts,
+                COMPLETENESS_TOL, stop_tol[back])
             e_y[back] = enc_new[back]
             total_iters += int(it_b.sum())
         k[live] = np.where(back, 0, kl + 1)

@@ -4,6 +4,9 @@ The state-based fidelity oracle here builds (T (x) id)(|Omega><Omega|)
 explicitly and never touches the Kraus-trace production formula.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,26 @@ class TestTensorPower:
     def test_choi_trace(self):
         c = q.tensor_power(q.amplitude_damping(0.25), 3)
         assert abs(np.trace(q.to_choi(c).matrix) - 8.0) < 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("channel", [
+        q.amplitude_damping(0.0), q.amplitude_damping(0.3), q.amplitude_damping(1.0),
+        random_channel(2, 2, 3, 40)], ids=["gamma0", "gamma0.3", "gamma1", "rank3"])
+    def test_kraus_set_equals_the_kron_enumeration(self, n, channel):
+        ops = q.tensor_power(channel, n).kraus
+        ref = [reduce(np.kron, combo) for combo in itertools.product(channel.kraus, repeat=n)]
+        assert len(ops) == len(ref)
+        for a, b in zip(ops, ref):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "2"])
+    def test_rejects_non_integer_n(self, n):
+        # True used to return the channel itself; 2.0 failed inside itertools.
+        with pytest.raises(ValueError, match="integer"):
+            q.tensor_power(q.amplitude_damping(0.3), n)
+
+    def test_accepts_numpy_integer_n(self):
+        assert len(q.tensor_power(q.amplitude_damping(0.3), np.int64(2)).kraus) == 4
 
 
 class TestChoi:

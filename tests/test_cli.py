@@ -68,6 +68,11 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             q.SweepConfig(modes=("seesaw",), **{field: value})
 
+    def test_rejects_repeated_modes(self):
+        # A repeated mode used to run its curve twice and write every row twice.
+        with pytest.raises(ValueError, match=r"repeats \['nocoding'\]"):
+            q.SweepConfig(modes=("nocoding", "seesaw", "nocoding"))
+
     def test_accepts_numpy_integer_counts(self):
         config = q.SweepConfig(steps=np.int64(3), copies=np.int32(4))
         assert (config.steps, config.copies) == (3, 4)
@@ -157,6 +162,11 @@ class TestMain:
         rc = q.cli.main(["--steps", "1", "--modes", "nocoding"])
         assert rc != 0
         assert "steps" in capsys.readouterr().err
+
+    def test_repeated_mode_is_an_error(self, capsys):
+        rc = q.cli.main(["--steps", "3", "--modes", "nocoding,nocoding"])
+        assert rc == 1
+        assert "repeats ['nocoding']" in capsys.readouterr().err
 
     def test_nan_tolerance_is_an_error(self, capsys):
         rc = q.cli.main(["--tol", "nan", "--steps", "2", "--modes", "nocoding"])

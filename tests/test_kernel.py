@@ -1,7 +1,8 @@
 """The stacked power-step kernel against a single-member loop of the same
 rule, its speed-up over the plain power step, the lockstep seesaw against
-a one-restart loop of its extrapolated round, and the independence of the
-lockstep multistart and seesaw from how their batches are composed."""
+a one-restart loop of its extrapolated round, the independence of the
+lockstep multistart and seesaw from how their batches are composed, and
+the stacked operator builds and shared starts that feed them."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import seesawqec as q
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, SEESAW_KAPPA,
-                                 _lowdin, _multistart_members, _pad, _power_batch,
-                                 _renormalize, _seed_isometries)
+                                 _encoding_operators, _lowdin, _multistart_members, _pad,
+                                 _power_batch, _recovery_operators, _renormalize,
+                                 _seed_isometries)
 
 
 def reference_renormalize(ks, tol):
@@ -505,3 +507,77 @@ class TestBatchedMultistart:
                 expect = (res.fidelity, res.iterations, 1, 1, res.converged)
             assert (r.fidelity, r.inner_iterations_total, r.outer_rounds,
                     r.restarts_used, r.converged) == expect, r.gamma
+
+
+def reference_recovery_operator(e, n):
+    """Recovery-half X of one encoder stack e [I, c, d] by the dense product of
+    one member: the build that the stacked one replaced."""
+    (ni, c, d), (nj, m, _) = e.shape, n.shape
+    prods = n.reshape(nj * m, c) @ e.transpose(1, 0, 2).reshape(c, ni * d)
+    u = prods.reshape(nj, m, ni, d).transpose(0, 2, 3, 1).reshape(nj * ni, d * m)
+    x = (u.T @ u.conj()) / (d * d)
+    return (x + x.conj().T) / 2
+
+
+class TestStackedBuilds:
+    """The seesaw's stacked operator builds against one-member dense builds."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("single", [q.amplitude_damping(0.3),
+                                        q.random_cptp(2, 2, 3, np.random.default_rng(5))],
+                             ids=["damping", "rank3"])
+    def test_encoding_operators_match_the_dense_build(self, n, single):
+        noise = q.tensor_power(single, n)
+        m = 2 ** n
+        recs = [q.random_cptp(m, 2, rank, np.random.default_rng(10 * n + rank))
+                for rank in (max(1, m // 2), m // 2 + 1, m)]
+        # Zero-padded past the widest recovery.
+        r, _ = _pad([np.stack(c.kraus) for c in recs], m + 2)
+        x = _encoding_operators(r, np.stack(single.kraus), n)
+        for b, c in enumerate(recs):
+            ref = q.fidelity_operator_encoding(c, noise).x
+            assert np.abs(x[b] - ref).max() <= 1e-14 * np.abs(ref).max(), b
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_recovery_operators_do_not_depend_on_the_batch(self, rank):
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        nks = np.stack(noise.kraus)
+        encs = np.stack([np.stack(q.random_cptp(2, 16, rank, np.random.default_rng(s)).kraus)
+                         for s in range(6)])
+        whole = _recovery_operators(encs, nks)
+        for b in range(len(encs)):
+            alone = _recovery_operators(encs[b:b + 1], nks)[0]
+            np.testing.assert_array_equal(alone, reference_recovery_operator(encs[b], nks))
+            np.testing.assert_array_equal(whole[b], alone)
+            np.testing.assert_array_equal(_recovery_operators(encs[[3, b]], nks)[1], alone)
+            public = q.fidelity_operator_recovery(q.Channel(list(encs[b])), noise).x
+            np.testing.assert_array_equal(public, alone)
+
+
+class TestSharedStarts:
+    """Problems that repeat their predecessor's starts reuse its start stacks."""
+
+    def test_fixed_code_curve_builds_its_starts_once(self, monkeypatch):
+        calls = {"random_cptp": 0, "reversal_recovery": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(q.optimizer, name, counted)
+        config = q.SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
+                               modes=("leung_optrec",), options=q.SolveOptions(seed=7))
+        assert len(q.run_sweep(config)) == config.steps
+        # One problem per gamma > 0 drew 2 random starts and built 1 reversal.
+        assert calls == {"random_cptp": 2, "reversal_recovery": 1}
+
+    def test_starts_are_rebuilt_when_the_seed_or_extra_starts_change(self):
+        opts = q.SolveOptions(seed=7)
+        leung, noise = q.leung_encoder(), q.tensor_power(q.amplitude_damping(0.3), 4)
+        extra = [q.partial_trace_recovery(4)]
+        problems = [(leung, noise, 8, extra), (leung, noise, 8, ()),
+                    (leung, noise, 8, extra), (leung, noise, 9, extra),
+                    (leung, noise, 9, [q.partial_trace_recovery(4)])]
+        batched = q.optimize_recovery_multistarts(problems, opts)
+        for (enc, nz, seed, ex), res in zip(problems, batched):
+            alone = q.optimize_recovery_multistart(enc, nz, opts, seed, ex)
+            assert (res.fidelity, res.iterations) == (alone.fidelity, alone.iterations)
