@@ -1,8 +1,10 @@
-"""Dense complex matrix kernel.
+"""Dense matrix kernel over float64 and complex128.
 
 Everything downstream (channels, fidelity operators, the optimizer) is
-built on the handful of primitives here.  Conventions that the rest of
-the package depends on:
+built on the handful of primitives here.  Float64 input stays float64,
+so a real-valued problem is decomposed by the real ``eigh``; any other
+input is computed in complex128.  Every check applies in both fields.
+Conventions that the rest of the package depends on:
 
 * ``vec`` is column-stacking, so ``<vec(A), vec(B)> = tr(A^dag B)``.
 * ``herm_eig`` returns eigenvalues in descending order.
@@ -22,9 +24,14 @@ DEFAULT_EIG_FLOOR = 1e-12
 
 
 def as_matrices(m) -> np.ndarray:
-    """Coerce to a complex matrix or stack of matrices [..., r, c] and reject
-    non-finite entries."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a matrix or stack of matrices [..., r, c] and reject
+    non-finite entries.
+
+    Float64 input is kept as it is; any other input becomes complex128.
+    """
+    a = np.asarray(m)
+    if a.dtype != np.float64:
+        a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -33,7 +40,7 @@ def as_matrices(m) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array and reject non-finite entries."""
+    """Coerce to a 2-D float64 or complex128 array and reject non-finite entries."""
     a = as_matrices(m)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
@@ -87,9 +94,9 @@ def herm_eig(m) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` and the
-    columns of ``v`` orthonormal.  A stack ``m`` [..., D, D] is
-    decomposed matrix by matrix in one call, each check covering the
-    whole stack.
+    columns of ``v`` orthonormal; ``v`` is float64 for float64 ``m``.  A
+    stack ``m`` [..., D, D] is decomposed matrix by matrix in one call,
+    each check covering the whole stack.
     """
     m = as_matrices(m)
     herm_check(m)

@@ -38,16 +38,24 @@ multistart reuses the previous problem's starts when it shares their
 encoder, seed and extra starts, as every gamma of a fixed-code curve
 does.
 
+A recovery multistart whose operator and fixed starts have zero
+imaginary part (the 4-qubit code or the trivial embedding under a real
+noise channel, so every fixed-code gamma) draws real random starts and
+runs in float64, where a power step's ``eigh`` and matmuls are cheaper;
+any other runs in complex128.  The data sets the field: the kernel works
+in the result type of its inputs, and a multistart batch ends where the
+field changes.
+
 A slower projected-ascent solver over Choi matrices
 (:func:`oracle_optimize`) provides an independent cross-check of the
-half-problem optima; it is used by the test suite, not the seesaw loop.
+half-problem optima, in float64 for a real-valued operator; it is used by
+the test suite, not the seesaw loop.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -311,14 +319,21 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     running, plus one more over the members that fall back; stopped
     members leave the live arrays.
 
+    The batch runs in the field of its inputs: float64 when ``x`` and
+    ``ks`` are both float64, complex128 otherwise.
+
     Returns ``(best_ks, best_f, iterations, converged)`` per member, where
     ``best_ks`` is the best accepted iterate (the start if none beat it).
     """
     b, r, o, i = ks.shape
+    # One working dtype for every array, so that a complex candidate is
+    # never stored into a real start's slot.
+    dtype = np.result_type(x, ks)
+    x = x.astype(dtype, copy=False)
     # Row j of v is ravel(K_j) = conj(w_j), so the rows of v @ X are the
     # power step conj(X w_j), and the fidelity is sum_j conj(v_j) . (v X)_j.
     # The step is linear, so Y X = p_t + beta (p_t - p_{t-1}) with p = K X.
-    v = ks.reshape(b, r, o * i)
+    v = ks.astype(dtype, copy=False).reshape(b, r, o * i)
     p = v @ x
     p_prev = p
     f = _fidelities(v, p)
@@ -396,12 +411,18 @@ def optimize_encoding_isometric(y: FidelityOperator, initial: Isometry,
     return Isometry(best[0, 0]), float(f[0]), int(iters[0]), bool(conv[0])
 
 
-def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
-    """Random channel with the given Kraus rank (needs rank * d_out >= d_in)."""
+def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
+                real: bool = False) -> Channel:
+    """Random channel with the given Kraus rank (needs rank * d_out >= d_in).
+
+    The Kraus operators are drawn complex Gaussian, or real Gaussian (and
+    kept float64) when ``real`` is set.
+    """
     if rank * d_out < d_in:
         raise ValueError(f"rank {rank} too small for a TP map {d_in} -> {d_out}")
-    g = (rng.standard_normal((rank, d_out, d_in))
-         + 1j * rng.standard_normal((rank, d_out, d_in)))
+    g = rng.standard_normal((rank, d_out, d_in))
+    if not real:
+        g = g + 1j * rng.standard_normal((rank, d_out, d_in))
     ks, ok = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
     if not ok[0]:
         raise ValueError("random Kraus draw was rank deficient")
@@ -445,10 +466,13 @@ def oracle_optimize(x: FidelityOperator, dims: Optional[Tuple[int, int]] = None,
     Projected gradient ascent on the linear objective tr(conj(X) C) over
     the set of CPTP Choi matrices (PSD, partial trace over the output
     factor equal to the identity), step size 1 / ||X||.  Returns the best
-    objective value attained at a feasible iterate.
+    objective value attained at a feasible iterate.  The ascent runs in
+    float64 when X is real-valued.
     """
     d_out, d_in = dims if dims is not None else x.free_shape
     a = x.x.conj()
+    if not np.any(a.imag):
+        a = a.real
     side = d_out * d_in
     if a.shape != (side, side):
         raise ValueError(f"operator side {a.shape[0]} inconsistent with dims "
@@ -457,7 +481,7 @@ def oracle_optimize(x: FidelityOperator, dims: Optional[Tuple[int, int]] = None,
     if lam <= 0.0:
         return 0.0
     step = 1.0 / lam
-    c = np.eye(side, dtype=complex) / d_out
+    c = np.eye(side, dtype=a.dtype) / d_out
     best = -np.inf
     stall = 0
     for _ in range(iters):
@@ -504,9 +528,13 @@ LEUNG_RESTART_INDEX = 1
 
 
 def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> Tuple[np.ndarray, List[int]]:
-    """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``."""
+    """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``.
+
+    The stack is float64 when every input is, complex128 otherwise.
+    """
     counts = [len(s) for s in stacks]
-    out = np.zeros((len(stacks), max(counts + [width])) + stacks[0].shape[1:], dtype=complex)
+    out = np.zeros((len(stacks), max(counts + [width])) + stacks[0].shape[1:],
+                   dtype=np.result_type(*{s.dtype for s in stacks}))
     for b, s in enumerate(stacks):
         out[b, :len(s)] = s
     return out, counts
@@ -527,13 +555,16 @@ def _first_best(f: Sequence[float]) -> int:
 # stops.  On the 21-point fixed-code curve, one batch of all 20 problems
 # raised peak RSS from 39.5 to 44.8 MiB; ten (30 members) give 42.8 MiB
 # at the same speed, since the step count is set by the slowest member
-# either way, and five give 40.7 MiB but take 13% longer.
+# either way, and five give 40.7 MiB but take 13% longer.  A batch also
+# ends where the problems' field changes.  Bit-identical results across
+# batchings need both the same field and the same padding width.
 MULTISTART_BATCH = 10
 
 
 # What the starts of a recovery multistart depend on, and the Kraus stacks
-# of those starts: (encoder, rng_seed, extra_starts, noise.d_out, starts).
-_Starts = Tuple[Isometry, int, Sequence[Channel], int, List[np.ndarray]]
+# of those starts: (encoder, rng_seed, extra_starts, noise.d_out, whether
+# X is real-valued, starts).
+_Starts = Tuple[Isometry, int, Sequence[Channel], int, bool, List[np.ndarray]]
 
 
 def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
@@ -542,12 +573,17 @@ def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
                         ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The recovery operator of one problem and the Kraus stacks of its starts.
 
-    The starts depend on the problem only through its encoder, seed,
-    extra starts and ``noise.d_out``.  When ``last`` holds the previous
-    problem's, and this one repeats all four (the same encoder and
-    extra-start objects), its start stacks are reused, not built again.
+    A problem is real when its operator X and its fixed starts (the
+    reversal recovery and the extra starts) have zero imaginary part.  Its
+    random starts are then drawn real, and X and every start stack are
+    returned as float64; otherwise all are complex128.  The starts depend
+    on the problem only through its encoder, seed, extra starts,
+    ``noise.d_out`` and whether X is real-valued.  When ``last`` holds the
+    previous problem's, and this one repeats all five (the same encoder
+    and extra-start objects), its start stacks are reused, not built again.
     """
     x = fidelity_operator_recovery(encoder.as_channel(), noise).x
+    x_real = not np.any(x.imag)
     for c in extra_starts:
         if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
             raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
@@ -555,13 +591,17 @@ def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
     if (last is not None and encoder is last[0] and rng_seed == last[1]
             and len(extra_starts) == len(last[2])
             and all(a is b for a, b in zip(extra_starts, last[2]))
-            and noise.d_out == last[3]):
-        return x, last[4]
-    rng = np.random.default_rng(rng_seed)
-    starts = [reversal_recovery(encoder), *extra_starts]
-    starts += [random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery, rng)
-               for _ in range(2)]
-    return x, [np.stack(c.kraus) for c in starts]
+            and noise.d_out == last[3] and x_real == last[4]):
+        starts = last[5]
+    else:
+        fixed = [np.stack(c.kraus) for c in (reversal_recovery(encoder), *extra_starts)]
+        real = x_real and not any(np.any(s.imag) for s in fixed)
+        rng = np.random.default_rng(rng_seed)
+        starts = [s.real if real else s for s in fixed]
+        starts += [np.stack(random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery,
+                                        rng, real).kraus)
+                   for _ in range(2)]
+    return (x.real if starts[0].dtype == np.float64 else x), starts
 
 
 def optimize_recovery_multistarts(
@@ -569,40 +609,54 @@ def optimize_recovery_multistarts(
         opts: SolveOptions) -> List[HalfResult]:
     """Best recovery of each ``(encoder, noise, rng_seed, extra_starts)`` problem.
 
-    Each problem's starts are :func:`optimize_recovery_multistart`'s.  The
-    starts of up to ``MULTISTART_BATCH`` problems run as one kernel batch,
-    and each problem's noise channel is dropped once its operator is
-    built, so ``problems`` may be a generator that builds each noise
-    channel on demand.  A problem that repeats the previous problem's
-    encoder, seed, extra starts and ``noise.d_out`` (every gamma of a
-    fixed-code curve) reuses its start stacks.  Members are zero-padded to
-    the widest start in their batch, and the width can change the last
-    bits, so a result is bit-identical to its one-problem call when every
-    problem's widest start has the same number of Kraus operators (as on
-    a fixed-code curve).
+    Each problem's starts are :func:`optimize_recovery_multistart`'s.  A
+    real problem (:func:`_multistart_members`) runs in float64, any other
+    in complex128.  The starts of up to ``MULTISTART_BATCH`` consecutive
+    problems of one field run as one kernel batch, and each problem's
+    noise channel is dropped once its operator is built, so ``problems``
+    may be a generator that builds each noise channel on demand.  A
+    problem that repeats the previous problem's encoder, seed, extra
+    starts, ``noise.d_out`` and field (every gamma of a fixed-code curve)
+    reuses its start stacks.  Members are zero-padded to the widest start
+    in their batch, and the width can change the last bits, so a result
+    is bit-identical to its one-problem call when it runs in the same
+    field and every problem's widest start has the same number of Kraus
+    operators (as on a fixed-code curve, and for the seesaw's trivial and
+    4-qubit-code restarts, which share a real batch).
     """
     out: List[HalfResult] = []
-    problems = iter(problems)
+    batch: List[Tuple[np.ndarray, List[np.ndarray]]] = []
     last: Optional[_Starts] = None
-    while True:
-        xs: List[np.ndarray] = []
-        stacks: List[np.ndarray] = []
-        spans: List[Tuple[int, int]] = []
-        for encoder, noise, rng_seed, extra_starts in islice(problems, MULTISTART_BATCH):
-            x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts,
-                                            last)
-            last = (encoder, rng_seed, extra_starts, noise.d_out, starts)
-            spans.append((len(stacks), len(stacks) + len(starts)))
-            xs += [x] * len(starts)
-            stacks += starts
-        if not spans:
-            return out
-        ks, counts = _pad(stacks)
-        best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL)
-        for lo, hi in spans:
-            j = lo + _first_best(f[lo:hi])
-            out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
-                                  int(iters[lo:hi].sum()), bool(conv[j])))
+    for encoder, noise, rng_seed, extra_starts in problems:
+        x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts, last)
+        last = (encoder, rng_seed, extra_starts, noise.d_out, not np.any(x.imag), starts)
+        if batch and (len(batch) == MULTISTART_BATCH or x.dtype != batch[0][0].dtype):
+            out += _multistart_batch(batch, opts)
+            batch = []
+        batch.append((x, starts))
+    if batch:
+        out += _multistart_batch(batch, opts)
+    return out
+
+
+def _multistart_batch(batch: Sequence[Tuple[np.ndarray, List[np.ndarray]]],
+                      opts: SolveOptions) -> List[HalfResult]:
+    """Run the starts of every ``(x, starts)`` problem as one kernel batch."""
+    xs: List[np.ndarray] = []
+    stacks: List[np.ndarray] = []
+    spans: List[Tuple[int, int]] = []
+    for x, starts in batch:
+        spans.append((len(stacks), len(stacks) + len(starts)))
+        xs += [x] * len(starts)
+        stacks += starts
+    ks, counts = _pad(stacks)
+    best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL)
+    out = []
+    for lo, hi in spans:
+        j = lo + _first_best(f[lo:hi])
+        out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
+                              int(iters[lo:hi].sum()), bool(conv[j])))
+    return out
 
 
 def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
@@ -613,7 +667,8 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
 
     Starts: the encoder-reversal recovery, any caller-supplied channels,
     and two random channels drawn from a generator seeded with
-    ``rng_seed``, run as one batch; ties go to the earliest start.  Also
+    ``rng_seed`` (real ones for a real-valued problem, which then runs in
+    float64), run as one batch; ties go to the earliest start.  Also
     the exact routine behind the "optimized decoding with the fixed
     4-qubit code" sweep mode (through :func:`optimize_recovery_multistarts`,
     of which this is the one-problem call) and the seesaw's initial
@@ -675,9 +730,12 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
 
     The restarts run in lockstep: after the restarts' initial recovery
     multistarts (:func:`optimize_recovery_multistarts`, one call for
-    all), each round runs one encoder-half batch and one recovery-half
-    batch over the restarts still going, plus one more recovery-half
-    batch over those that fall back.
+    all; real-valued restarts, such as the trivial and 4-qubit-code
+    ones, run in their own float64 batch, the latter from the fixed-code
+    curve's starts), each round
+    runs one encoder-half batch and one recovery-half batch over the
+    restarts still going, plus one more recovery-half batch over those
+    that fall back.
 
     Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """

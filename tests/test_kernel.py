@@ -476,6 +476,8 @@ class TestBatchedMultistart:
         # Seesaw-style: another encoder, an extra start and another seed.
         problems.insert(3, (q.trivial_embedding(4), noise(0.3), 7,
                             [q.partial_trace_recovery(4)]))
+        # A complex problem between real ones ends their batch.
+        problems.insert(5, (q.random_isometry(2, 16, 5), noise(0.3), 9, ()))
         assert len(problems) > MULTISTART_BATCH
         return opts, problems
 
@@ -581,3 +583,49 @@ class TestSharedStarts:
         for (enc, nz, seed, ex), res in zip(problems, batched):
             alone = q.optimize_recovery_multistart(enc, nz, opts, seed, ex)
             assert (res.fidelity, res.iterations) == (alone.fidelity, alone.iterations)
+
+
+class TestRealField:
+    """Real-valued recovery problems run in float64, complex ones in complex128."""
+
+    def test_fixed_code_starts_are_real_and_random_encoder_starts_complex(self):
+        opts = q.SolveOptions(seed=7)
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        for enc, extra in [(q.leung_encoder(), ()),
+                           (q.trivial_embedding(4), [q.partial_trace_recovery(4)])]:
+            x, starts = _multistart_members(enc, noise, opts, 8, extra)
+            assert [a.dtype for a in (x, *starts)] == [np.float64] * (1 + len(starts))
+        x, starts = _multistart_members(q.random_isometry(2, 16, 3), noise, opts, 8, ())
+        assert [a.dtype for a in (x, *starts)] == [np.complex128] * (1 + len(starts))
+        assert all(np.any(a.imag) for a in (x, *starts))
+
+    def test_real_batch_agrees_with_the_same_batch_in_complex128(self):
+        opts = q.SolveOptions(seed=7)
+        xs, stacks = [], []
+        for gamma in (0.1, 0.2, 0.3, 0.6):
+            noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+            x, starts = _multistart_members(q.leung_encoder(), noise, opts, 8, ())
+            xs += [x] * len(starts)
+            stacks += starts
+        x, (ks, _) = np.stack(xs), _pad(stacks)
+        real = _power_batch(x, ks, opts, 1e-9)
+        cplx = _power_batch(x.astype(complex), ks.astype(complex), opts, 1e-9)
+        assert (real[0].dtype, cplx[0].dtype) == (np.float64, np.complex128)
+        np.testing.assert_allclose(real[1], cplx[1], rtol=0, atol=1e-9)
+        for a, b in zip(real[2:], cplx[2:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_a_real_start_meets_a_complex_operator(self):
+        # The kernel works in the operator's field, so no complex iterate is
+        # truncated into the real start's array.
+        opts = q.SolveOptions(seed=7)
+        noise = q.tensor_power(q.amplitude_damping(0.3), 2)
+        x = q.fidelity_operator_recovery(q.random_isometry(2, 4, 5).as_channel(), noise)
+        start = q.random_cptp(4, 2, 4, np.random.default_rng(1), real=True)
+        assert start.kraus[0].dtype == np.float64 and np.any(x.x.imag)
+        res = q.optimize_half(x, start, opts)
+        ref = q.optimize_half(x, q.Channel([k.astype(complex) for k in start.kraus]), opts)
+        assert res.channel.kraus[0].dtype == np.complex128
+        assert (res.fidelity, res.iterations) == (ref.fidelity, ref.iterations)
+        for a, b in zip(res.channel.kraus, ref.channel.kraus):
+            np.testing.assert_array_equal(a, b)

@@ -220,6 +220,39 @@ class TestInvSqrtPsd:
             linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, np.nan]))
 
 
+class TestRealInput:
+    """Float64 input stays float64, and every check still fires on it.
+
+    The Hermiticity and PSD checks on float64 input are tested above.
+    """
+
+    def test_results_are_float64_and_match_the_complex_path(self):
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((6, 6))
+        m = g @ g.T + 0.1 * np.eye(6)
+        w, v = linalg.herm_eig(m)
+        r = linalg.inv_sqrt_psd(m)
+        pt = linalg.partial_trace(m, (2, 3), keep={1})
+        assert [a.dtype for a in (w, v, r, pt)] == [np.float64] * 4
+        np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
+        np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex)), atol=1e-12)
+        np.testing.assert_allclose(pt, linalg.partial_trace(m.astype(complex), (2, 3), {1}),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("entry, match", [(np.nan, "NaN"), (np.inf, "Inf")])
+    def test_rejects_non_finite_entries(self, entry, match):
+        m = np.eye(4)
+        m[0, 1] = entry
+        for f in (linalg.herm_eig, linalg.inv_sqrt_psd,
+                  lambda a: linalg.partial_trace(a, (2, 2), {0})):
+            with pytest.raises(ValueError, match=match):
+                f(m)
+
+    def test_rejects_a_zero_floor(self):
+        with pytest.raises(ValueError, match="positive"):
+            linalg.inv_sqrt_psd(np.eye(2), eps=0.0)
+
+
 class TestVec:
     def test_identity_entries(self):
         np.testing.assert_array_equal(linalg.vec(np.eye(2)), [1, 0, 0, 1])

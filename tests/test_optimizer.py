@@ -148,6 +148,16 @@ class TestOracle:
         orc = q.oracle_optimize(x, iters=800)
         assert abs(res.fidelity - orc) < 1e-6
 
+    def test_real_and_complex_ascents_agree(self):
+        # A phase on the output factor maps CPTP Choi matrices onto CPTP
+        # Choi matrices, so it leaves the optimum in place but makes X
+        # complex: the float64 ascent against the complex128 one.
+        x = q.fidelity_operator_recovery(q.identity_channel(2), q.amplitude_damping(0.3))
+        w = np.kron(np.diag(np.exp(1j * np.array([0.4, 1.3]))), np.eye(2))
+        xc = q.optimizer.FidelityOperator(w @ x.x @ w.conj().T, x.free_shape)
+        assert not np.any(x.x.imag) and np.any(xc.x.imag)
+        assert abs(q.oracle_optimize(x, iters=20) - q.oracle_optimize(xc, iters=20)) < 1e-12
+
     def test_single_qubit_recovery_vs_unitary_brute_force(self):
         gamma = 0.3
         noise = q.amplitude_damping(gamma)
@@ -281,6 +291,11 @@ class TestRandomCptp:
             c = q.random_cptp(16, 2, 16, rng)
             s = sum(k.conj().T @ k for k in c.kraus)
             np.testing.assert_allclose(s, np.eye(16), atol=1e-9)
+
+    def test_real_draw_is_float64_and_complete(self):
+        c = q.random_cptp(16, 2, 16, np.random.default_rng(0), real=True)
+        assert all(k.dtype == np.float64 for k in c.kraus)
+        np.testing.assert_allclose(sum(k.T @ k for k in c.kraus), np.eye(16), atol=1e-9)
 
     def test_rejects_insufficient_rank(self):
         with pytest.raises(ValueError, match="rank"):
