@@ -6,12 +6,9 @@ from .channels import (Channel, ChoiMatrix, amplitude_damping, apply,
                        max_entangled_vector, tensor_power, to_choi)
 from .codes import (Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
-from .optimizer import (FidelityOperator, HalfResult, SeesawResult,
-                        SolveOptions, fidelity_operator_encoding,
-                        fidelity_operator_recovery, optimize_encoding_isometric,
-                        optimize_half, optimize_recovery_multistart,
-                        optimize_recovery_multistarts, oracle_optimize,
-                        quadratic_fidelity, random_cptp, seesaw)
+from .optimizer import (HalfResult, SeesawResult, SolveOptions,
+                        fidelity_operator_encoding, fidelity_operator_recovery,
+                        optimize_recovery_multistarts, random_cptp, seesaw)
 from .cli import (SweepConfig, SweepRecord, read_csv, run_sweep, write_csv,
                   write_svg_plot)
 
@@ -21,11 +18,9 @@ __all__ = [
     "tensor_power", "to_choi",
     "Isometry", "leung_encoder", "partial_trace_recovery", "random_isometry",
     "reversal_recovery", "trivial_embedding",
-    "FidelityOperator", "HalfResult", "SeesawResult", "SolveOptions",
+    "HalfResult", "SeesawResult", "SolveOptions",
     "fidelity_operator_encoding", "fidelity_operator_recovery",
-    "optimize_encoding_isometric", "optimize_half",
-    "optimize_recovery_multistart", "optimize_recovery_multistarts",
-    "oracle_optimize", "quadratic_fidelity", "random_cptp", "seesaw",
+    "optimize_recovery_multistarts", "random_cptp", "seesaw",
     "SweepConfig", "SweepRecord", "read_csv", "run_sweep", "write_csv",
     "write_svg_plot",
 ]

@@ -82,7 +82,7 @@ def _run_nocoding(config: SweepConfig) -> List[SweepRecord]:
     out = []
     for g in _grid(config):
         t0 = time.perf_counter()
-        f = 1.0 if g == 0.0 else channel_fidelity(amplitude_damping(float(g)))
+        f = channel_fidelity(amplitude_damping(float(g)))
         out.append(SweepRecord(float(g), "nocoding", f, 0, 0, 0, True,
                                (time.perf_counter() - t0) * 1e3))
     return out
@@ -97,6 +97,8 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
     opts = config.options
     enc = leung_encoder()
     grid = [float(g) for g in _grid(config)]
+    # The multistart gives 0.9999999999999997, unconverged, at gamma = 0;
+    # the exact row keeps the curve's noiseless endpoint at 1.0.
     out = [SweepRecord(0.0, "leung_optrec", 1.0, 0, 0, 1, True, 0.0)
            for g in grid if g == 0.0]
     noisy = [g for g in grid if g != 0.0]

@@ -6,7 +6,6 @@ so a real-valued problem is decomposed by the real ``eigh``; any other
 input is computed in complex128.  Every check applies in both fields.
 Conventions that the rest of the package depends on:
 
-* ``vec`` is column-stacking, so ``<vec(A), vec(B)> = tr(A^dag B)``.
 * ``herm_eig`` returns eigenvalues in descending order.
 * ``partial_trace`` indexes tensor factors big-endian (factor 0 is the
   most significant index).
@@ -45,11 +44,6 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor's indices most significant."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -121,8 +115,3 @@ def inv_sqrt_psd(m, eps=DEFAULT_EIG_FLOOR) -> np.ndarray:
     eps = eps[..., None]
     f = np.where(w > eps, 1.0 / np.sqrt(np.maximum(w, eps)), 0.0)
     return (v * f[..., None, :]) @ _dagger(v)
-
-
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization: <vec(A), vec(B)> = tr(A^dag B)."""
-    return as_matrix(m).reshape(-1, order="F")

@@ -45,11 +45,6 @@ runs in float64, where a power step's ``eigh`` and matmuls are cheaper;
 any other runs in complex128.  The data sets the field: the kernel works
 in the result type of its inputs, and a multistart batch ends where the
 field changes.
-
-A slower projected-ascent solver over Choi matrices
-(:func:`oracle_optimize`) provides an independent cross-check of the
-half-problem optima, in float64 for a real-valued operator; it is used by
-the test suite, not the seesaw loop.
 """
 
 from __future__ import annotations
@@ -60,25 +55,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, Channel, channel_fidelity, tensor_power
+from .channels import COMPLETENESS_TOL, Channel, tensor_power
 from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
-from .linalg import inv_sqrt_psd, partial_trace
+from .linalg import inv_sqrt_psd
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
-
-
-@dataclass(frozen=True)
-class FidelityOperator:
-    """PSD matrix X with F = sum_k <vec(K_k^dag)| X |vec(K_k^dag)>.
-
-    ``free_shape`` is the (d_out, d_in) shape of the free channel's
-    Kraus operators.
-    """
-
-    x: np.ndarray
-    free_shape: Tuple[int, int]
 
 
 def require_integers(obj, names: Sequence[str]) -> None:
@@ -154,17 +137,6 @@ class SeesawResult:
     restart_traces: Optional[List[List[float]]] = None
 
 
-def _kraus_vectors(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack vec(K^dag) for each Kraus operator as columns."""
-    ks = np.stack([np.asarray(k) for k in ops])
-    return ks.reshape(len(ops), -1).conj().T
-
-
-def quadratic_fidelity(x: FidelityOperator, c: Channel) -> float:
-    w = _kraus_vectors(c.kraus)
-    return float(np.real(np.sum(w.conj() * (x.x @ w))))
-
-
 def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
     """(y + y^dag) / 2 with y = x / d^2, for each matrix of x [..., D, D], in place.
 
@@ -224,8 +196,8 @@ def _encoding_operators(r: np.ndarray, a1: np.ndarray, n: int) -> np.ndarray:
     return _scaled_hermitian(t.transpose(order).reshape(nb, m * d, m * d), d)
 
 
-def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOperator:
-    """Fidelity operator for optimizing the recovery with E and N fixed.
+def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> np.ndarray:
+    """Fidelity operator X [D, D] for optimizing the recovery with E and N fixed.
 
     Built from the products ``N_j E_i``; the free channel maps the noise
     output back to the logical space.
@@ -233,12 +205,11 @@ def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> FidelityOper
     if encoder.d_out != noise.d_in:
         raise ValueError(f"encoder output dim {encoder.d_out} does not match "
                          f"noise input dim {noise.d_in}")
-    x = _recovery_operators(np.stack(encoder.kraus)[None], np.stack(noise.kraus))[0]
-    return FidelityOperator(x, (encoder.d_in, noise.d_out))
+    return _recovery_operators(np.stack(encoder.kraus)[None], np.stack(noise.kraus))[0]
 
 
-def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> FidelityOperator:
-    """Fidelity operator for optimizing the encoding with N and R fixed.
+def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> np.ndarray:
+    """Fidelity operator X [D, D] for optimizing the encoding with N and R fixed.
 
     Built from the products ``R_k N_j`` of any noise channel; the free
     channel maps the logical space into the noise input.  The seesaw
@@ -252,7 +223,7 @@ def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> FidelityOpe
     # prods[(k, a), (j, b)] = (R_k N_j)[a, b]
     prods = r.reshape(nk * d, m) @ n.transpose(1, 0, 2).reshape(m, nj * c)
     u = prods.reshape(nk, d, nj, c).transpose(0, 2, 3, 1).reshape(nk * nj, c * d)
-    return FidelityOperator(_operator(u, d), (noise.d_in, recovery.d_out))
+    return _operator(u, d)
 
 
 def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,41 +347,6 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     return best.reshape(ks.shape), best_f, iterations, converged
 
 
-def optimize_half(x: FidelityOperator, initial: Channel,
-                  opts: SolveOptions) -> HalfResult:
-    """Maximize the quadratic-form fidelity over CPTP maps of fixed Kraus rank.
-
-    Iterates the power step w <- X w followed by trace-preserving
-    renormalization, from a point extrapolated along the previous step
-    (see :func:`_power_batch`).  An iterate is accepted only if the
-    fidelity does not drop by more than ``inner_tol``; on a larger drop
-    the previous iterate is kept and the iteration stops.  The best
-    iterate seen is returned, so the result never falls below the
-    starting fidelity.
-    """
-    if (initial.d_out, initial.d_in) != x.free_shape:
-        raise ValueError(f"initial channel shape ({initial.d_out}, {initial.d_in}) "
-                         f"does not match operator free shape {x.free_shape}")
-    best, f, iters, conv = _power_batch(x.x[None], np.stack(initial.kraus)[None],
-                                        opts, COMPLETENESS_TOL)
-    return HalfResult(Channel(list(best[0])), float(f[0]), int(iters[0]), bool(conv[0]))
-
-
-def optimize_encoding_isometric(y: FidelityOperator, initial: Isometry,
-                                opts: SolveOptions) -> Tuple[Isometry, float, int, bool]:
-    """Same power step restricted to a single Kraus operator.
-
-    Renormalization projects back to isometries via V (V^dag V)^(-1/2).
-    Returns (isometry, fidelity, iterations, converged).
-    """
-    if (initial.d_out, initial.d_in) != y.free_shape:
-        raise ValueError(f"initial isometry shape ({initial.d_out}, {initial.d_in}) "
-                         f"does not match operator free shape {y.free_shape}")
-    best, f, iters, conv = _power_batch(y.x[None], initial.v[None, None], opts,
-                                        ISOMETRY_TOL)
-    return Isometry(best[0, 0]), float(f[0]), int(iters[0]), bool(conv[0])
-
-
 def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
                 real: bool = False) -> Channel:
     """Random channel with the given Kraus rank (needs rank * d_out >= d_in).
@@ -427,78 +363,6 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
     if not ok[0]:
         raise ValueError("random Kraus draw was rank deficient")
     return Channel(list(ks.reshape(rank, d_out, d_in)))
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle for the half-problem (tests only)
-# ---------------------------------------------------------------------------
-
-def _project_psd(m: np.ndarray) -> np.ndarray:
-    h = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
-    return (v * w) @ v.conj().T
-
-
-def _project_tp(m: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    pt = partial_trace(m, (d_out, d_in), keep=(1,))
-    return m - np.kron(np.eye(d_out), (pt - np.eye(d_in)) / d_out)
-
-
-def _project_cptp(m: np.ndarray, d_out: int, d_in: int,
-                  max_sweeps: int = 200, tol: float = 1e-11) -> np.ndarray:
-    """Dykstra-corrected alternating projections onto PSD and TP sets."""
-    c = m
-    corr = np.zeros_like(m)
-    for _ in range(max_sweeps):
-        y = _project_psd(c + corr)
-        corr = c + corr - y
-        c = _project_tp(y, d_out, d_in)
-        if np.max(np.abs(c - y)) < tol:
-            break
-    return c
-
-
-def oracle_optimize(x: FidelityOperator, dims: Optional[Tuple[int, int]] = None,
-                    iters: int = 1500) -> float:
-    """Best-effort global optimum of the half-problem via Choi ascent.
-
-    Projected gradient ascent on the linear objective tr(conj(X) C) over
-    the set of CPTP Choi matrices (PSD, partial trace over the output
-    factor equal to the identity), step size 1 / ||X||.  Returns the best
-    objective value attained at a feasible iterate.  The ascent runs in
-    float64 when X is real-valued.
-    """
-    d_out, d_in = dims if dims is not None else x.free_shape
-    a = x.x.conj()
-    if not np.any(a.imag):
-        a = a.real
-    side = d_out * d_in
-    if a.shape != (side, side):
-        raise ValueError(f"operator side {a.shape[0]} inconsistent with dims "
-                         f"({d_out}, {d_in})")
-    lam = float(np.linalg.eigvalsh((a + a.conj().T) / 2)[-1])
-    if lam <= 0.0:
-        return 0.0
-    step = 1.0 / lam
-    c = np.eye(side, dtype=a.dtype) / d_out
-    best = -np.inf
-    stall = 0
-    for _ in range(iters):
-        c = _project_cptp(c + step * a, d_out, d_in)
-        val = float(np.real(np.sum(a * c.T)))
-        w_min = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
-        pt_dev = float(np.max(np.abs(
-            partial_trace(c, (d_out, d_in), keep=(1,)) - np.eye(d_in))))
-        if w_min > -1e-9 and pt_dev < 1e-9:
-            if val > best + 1e-10:
-                best = val
-                stall = 0
-            else:
-                stall += 1
-                if stall > 100:
-                    break
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +446,7 @@ def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
     previous problem's, and this one repeats all five (the same encoder
     and extra-start objects), its start stacks are reused, not built again.
     """
-    x = fidelity_operator_recovery(encoder.as_channel(), noise).x
+    x = fidelity_operator_recovery(encoder.as_channel(), noise)
     x_real = not np.any(x.imag)
     for c in extra_starts:
         if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
@@ -609,20 +473,27 @@ def optimize_recovery_multistarts(
         opts: SolveOptions) -> List[HalfResult]:
     """Best recovery of each ``(encoder, noise, rng_seed, extra_starts)`` problem.
 
-    Each problem's starts are :func:`optimize_recovery_multistart`'s.  A
-    real problem (:func:`_multistart_members`) runs in float64, any other
-    in complex128.  The starts of up to ``MULTISTART_BATCH`` consecutive
-    problems of one field run as one kernel batch, and each problem's
-    noise channel is dropped once its operator is built, so ``problems``
-    may be a generator that builds each noise channel on demand.  A
-    problem that repeats the previous problem's encoder, seed, extra
-    starts, ``noise.d_out`` and field (every gamma of a fixed-code curve)
-    reuses its start stacks.  Members are zero-padded to the widest start
-    in their batch, and the width can change the last bits, so a result
-    is bit-identical to its one-problem call when it runs in the same
-    field and every problem's widest start has the same number of Kraus
-    operators (as on a fixed-code curve, and for the seesaw's trivial and
-    4-qubit-code restarts, which share a real batch).
+    A problem's starts are the encoder-reversal recovery, its extra
+    starts, and two random channels drawn from a generator seeded with
+    ``rng_seed`` (real ones for a real-valued problem); ties go to the
+    earliest start, and ``iterations`` counts the steps of all starts.
+    This is the routine behind the "optimized decoding with the fixed
+    4-qubit code" sweep mode and the seesaw's initial recoveries, so the
+    seesaw's seeded restarts dominate that curve by construction.
+
+    A real problem (:func:`_multistart_members`) runs in float64, any
+    other in complex128.  The starts of up to ``MULTISTART_BATCH``
+    consecutive problems of one field run as one kernel batch, and each
+    problem's noise channel is dropped once its operator is built, so
+    ``problems`` may be a generator that builds each noise channel on
+    demand.  A problem that repeats the previous problem's encoder, seed,
+    extra starts, ``noise.d_out`` and field (every gamma of a fixed-code
+    curve) reuses its start stacks.  Members are zero-padded to the
+    widest start in their batch, and the width can change the last bits,
+    so a result is bit-identical to that of the problem passed alone when
+    it runs in the same field and every problem's widest start has the
+    same number of Kraus operators (as on a fixed-code curve, and for the
+    seesaw's trivial and 4-qubit-code restarts, which share a real batch).
     """
     out: List[HalfResult] = []
     batch: List[Tuple[np.ndarray, List[np.ndarray]]] = []
@@ -659,26 +530,6 @@ def _multistart_batch(batch: Sequence[Tuple[np.ndarray, List[np.ndarray]]],
     return out
 
 
-def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
-                                 opts: SolveOptions, rng_seed: int,
-                                 extra_starts: Sequence[Channel] = ()
-                                 ) -> HalfResult:
-    """Best recovery for a fixed encoder over a deterministic set of starts.
-
-    Starts: the encoder-reversal recovery, any caller-supplied channels,
-    and two random channels drawn from a generator seeded with
-    ``rng_seed`` (real ones for a real-valued problem, which then runs in
-    float64), run as one batch; ties go to the earliest start.  Also
-    the exact routine behind the "optimized decoding with the fixed
-    4-qubit code" sweep mode (through :func:`optimize_recovery_multistarts`,
-    of which this is the one-problem call) and the seesaw's initial
-    recoveries, so the seesaw's seeded restarts dominate that curve by
-    construction.  ``iterations`` counts the steps of all starts.
-    """
-    return optimize_recovery_multistarts([(encoder, noise, rng_seed, extra_starts)],
-                                         opts)[0]
-
-
 # Inexact alternation: a seesaw round stops each half once one accepted
 # step changes the fidelity by less than SEESAW_KAPPA times the restart's
 # gain over its last round (never less than inner_tol), so a half is
@@ -689,11 +540,6 @@ def optimize_recovery_multistart(encoder: Isometry, noise: Channel,
 # gamma = 0.5 at the round cap; 1 about 1.85x, -9.1e-6 with two points
 # at the cap.
 SEESAW_KAPPA = 0.01
-
-
-def _noiseless(noise_single: Channel) -> bool:
-    return (noise_single.d_in == noise_single.d_out
-            and channel_fidelity(noise_single) >= 1.0 - 1e-15)
 
 
 def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
@@ -748,15 +594,6 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             shape = iso.v.shape if isinstance(iso, Isometry) else type(iso).__name__
             raise ValueError(f"warm-start encoder {j} must be a 2 -> {2 ** n} isometry "
                              f"for n = {n}, got {shape}")
-
-    if _noiseless(noise_single):
-        iso = trivial_embedding(n)
-        return SeesawResult(
-            encoder=iso.as_channel(), recovery=reversal_recovery(iso),
-            fidelity=1.0, fidelity_trace=[1.0], restarts_used=0,
-            converged=True, best_restart_seed=opts.seed,
-            encoder_isometry=iso, inner_iterations_total=0, outer_rounds=0,
-            restart_traces=[[1.0]])
 
     noise = tensor_power(noise_single, n)
     nks, a1 = np.stack(noise.kraus), np.stack(noise_single.kraus)

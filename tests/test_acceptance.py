@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import seesawqec as q
+from oracle import oracle_optimize
 
 SEED = 7
 GAMMA_GRID = np.linspace(0.0, 1.0, 21)
@@ -138,9 +139,9 @@ def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for g in [0.1, 0.2, 0.4]:
         noise = q.tensor_power(q.amplitude_damping(g), 4)
-        res = q.optimize_recovery_multistart(enc, noise, opts, rng_seed=SEED)
+        res = q.optimize_recovery_multistarts([(enc, noise, SEED, ())], opts)[0]
         x = q.fidelity_operator_recovery(enc.as_channel(), noise)
-        orc = q.oracle_optimize(x, iters=1200)
+        orc = oracle_optimize(x, (2, 16), iters=1200)
         worst = max(worst, abs(res.fidelity - orc))
     elapsed = time.perf_counter() - t0
     report(5, worst < 1e-6 and elapsed < 120.0,

@@ -24,43 +24,6 @@ class TestMatmul:
         assert abs((k0 @ k1)[0, 1] - 0.6) < 1e-15
 
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = linalg.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_damping_k1_square(self):
-        gamma = 0.37
-        k1 = amplitude_damping(gamma).kraus[1]
-        out = linalg.kron(k1, k1)
-        nz = np.argwhere(np.abs(out) > 0)
-        assert nz.shape[0] == 1
-        # index enumeration: (0*2+0, 1*2+1)
-        assert tuple(nz[0]) == (0, 3)
-        assert abs(out[0, 3] - gamma) < 1e-15
-
-    def test_associativity_exact_on_integer_entries(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (rng.integers(-5, 5, (2, 3)).astype(complex),
-                   rng.integers(-5, 5, (2, 2)).astype(complex),
-                   rng.integers(-5, 5, (3, 2)).astype(complex))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        np.testing.assert_array_equal(left, right)
-
-    def test_associativity_generic(self):
-        # complex multiplication rounds, so generic entries agree to 1 ulp
-        rng = np.random.default_rng(12)
-        a, b, c = (rand_complex(rng, 2, 3), rand_complex(rng, 2, 2),
-                   rand_complex(rng, 3, 2))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-15, atol=0)
-
-
 def partial_trace_oracle(m, dims, keep):
     """Direct index summation, independent of the reshape-based path."""
     keep = sorted(keep)
@@ -252,21 +215,3 @@ class TestRealInput:
         with pytest.raises(ValueError, match="positive"):
             linalg.inv_sqrt_psd(np.eye(2), eps=0.0)
 
-
-class TestVec:
-    def test_identity_entries(self):
-        np.testing.assert_array_equal(linalg.vec(np.eye(2)), [1, 0, 0, 1])
-
-    def test_inner_product_is_trace(self):
-        rng = np.random.default_rng(13)
-        for rows, cols in [(2, 2), (3, 5), (4, 1)]:
-            a = rand_complex(rng, rows, cols)
-            b = rand_complex(rng, rows, cols)
-            ip = np.vdot(linalg.vec(a), linalg.vec(b))
-            np.testing.assert_allclose(ip, np.trace(a.conj().T @ b), atol=1e-12)
-
-    def test_roundtrip(self):
-        # Column-stacking: the 4 columns of a 3x4 matrix, one after another.
-        rng = np.random.default_rng(14)
-        a = rand_complex(rng, 3, 4)
-        np.testing.assert_array_equal(linalg.vec(a).reshape(4, 3).T, a)
