@@ -6,8 +6,7 @@ from .channels import (Channel, ChoiMatrix, amplitude_damping, apply,
                        max_entangled_vector, tensor_power, to_choi)
 from .codes import (Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
-from .optimizer import (HalfResult, SeesawResult, SolveOptions,
-                        fidelity_operator_encoding, fidelity_operator_recovery,
+from .optimizer import (HalfResult, SeesawResult, SolveOptions, fidelity_operator_recovery,
                         optimize_recovery_multistarts, random_cptp, seesaw)
 from .cli import (SweepConfig, SweepRecord, read_csv, run_sweep, write_csv,
                   write_svg_plot)
@@ -18,8 +17,7 @@ __all__ = [
     "tensor_power", "to_choi",
     "Isometry", "leung_encoder", "partial_trace_recovery", "random_isometry",
     "reversal_recovery", "trivial_embedding",
-    "HalfResult", "SeesawResult", "SolveOptions",
-    "fidelity_operator_encoding", "fidelity_operator_recovery",
+    "HalfResult", "SeesawResult", "SolveOptions", "fidelity_operator_recovery",
     "optimize_recovery_multistarts", "random_cptp", "seesaw",
     "SweepConfig", "SweepRecord", "read_csv", "run_sweep", "write_csv",
     "write_svg_plot",

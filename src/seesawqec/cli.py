@@ -106,8 +106,8 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
     # A generator, so each gamma's noise channel is built only when its
     # batch is filled.
     results = optimize_recovery_multistarts(
-        ((enc, tensor_power(amplitude_damping(g), 4), opts.seed + LEUNG_RESTART_INDEX, ())
-         for g in noisy), opts)
+        enc, (tensor_power(amplitude_damping(g), 4) for g in noisy),
+        opts.seed + LEUNG_RESTART_INDEX, opts)
     share = (time.perf_counter() - t0) * 1e3 / max(len(noisy), 1)
     for g, res in zip(noisy, results):
         out.append(SweepRecord(g, "leung_optrec", res.fidelity, res.iterations, 1, 1,
@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=4)
     p.add_argument("--modes", type=str, default="nocoding,leung_optrec,seesaw",
                    help="comma-separated subset of nocoding,leung_optrec,seesaw")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8,
+                   help="seesaw restarts besides the warm start; the trivial embedding "
+                        "and, at 4 copies, the 4-qubit code always run")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="outer (seesaw round) tolerance")
     p.add_argument("--max-outer", type=int, default=200)

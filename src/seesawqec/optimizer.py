@@ -34,9 +34,9 @@ built qubit by qubit for every live restart at once: each recovery's
 Choi matrix is pushed through the single-qubit transfer matrix of the
 noise on one qubit at a time (:func:`_encoding_operators`), so the
 2^n-operator tensor power is never multiplied out for that half.  A
-multistart reuses the previous problem's starts when it shares their
-encoder, seed and extra starts, as every gamma of a fixed-code curve
-does.
+recovery multistart takes one encoder and a sequence of noise channels
+and builds its start set once, so every gamma of a fixed-code curve runs
+from the same starts.
 
 A recovery multistart whose operator and fixed starts have zero
 imaginary part (the 4-qubit code or the trivial embedding under a real
@@ -86,9 +86,11 @@ class SolveOptions:
     looser while the restart still gains (see :func:`seesaw`).
     ``max_outer_rounds``: seesaw rounds per restart.  ``outer_tol``: a
     seesaw restart has converged when a round at the floor tolerance
-    gains less than this.  ``restarts``: seeded seesaw restarts besides
-    warm starts.  ``kraus_rank_recovery``: Kraus rank of the random
-    recovery starts.  ``seed``: base of every seed the solvers derive.
+    gains less than this.  ``restarts``: seesaw restarts besides warm
+    starts.  The fixed ones (the trivial embedding, and the 4-qubit code
+    when n = 4) always run, and seeded random isometries fill up to this
+    count, so n = 4 runs 2 restarts even when it is 1.  ``seed``: base of
+    every seed the solvers derive.
     """
 
     max_inner_iters: int = 2000
@@ -96,12 +98,10 @@ class SolveOptions:
     max_outer_rounds: int = 200
     outer_tol: float = 1e-9
     restarts: int = 8
-    kraus_rank_recovery: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("max_inner_iters", "max_outer_rounds", "restarts",
-                                "kraus_rank_recovery", "seed"))
+        require_integers(self, ("max_inner_iters", "max_outer_rounds", "restarts", "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
@@ -109,8 +109,8 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.max_inner_iters < 1 or self.max_outer_rounds < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.restarts < 1 or self.kraus_rank_recovery < 1:
-            raise ValueError("restarts and Kraus ranks must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -149,21 +149,16 @@ def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
     return x
 
 
-def _operator(u: np.ndarray, d_logical: int) -> np.ndarray:
-    """X = (1/d^2) sum_p u_p u_p^dag from rows u_p = vec(C_p) of the fixed-part products.
-
-    ``u`` is [..., P, D]; a stack gives one X per member.
-    """
-    return _scaled_hermitian(u.swapaxes(-1, -2) @ u.conj(), d_logical)
-
-
 def _recovery_operators(e: np.ndarray, nks: np.ndarray) -> np.ndarray:
-    """Recovery-half X of each encoder stack e [B, I, c, d], with noise stack nks [J, m, c]."""
+    """Recovery-half X of each encoder stack e [B, I, c, d], with noise stack nks [J, m, c].
+
+    X = (1/d^2) sum_p u_p u_p^dag over the rows u_p = vec(N_j E_i).
+    """
     (nb, ni, c, d), (nj, m, _) = e.shape, nks.shape
     # prods[b, (j, a), (i, q)] = (N_j E_bi)[a, q]
     prods = nks.reshape(nj * m, c) @ e.transpose(0, 2, 1, 3).reshape(nb, c, ni * d)
     u = prods.reshape(nb, nj, m, ni, d).transpose(0, 1, 3, 4, 2).reshape(nb, nj * ni, d * m)
-    return _operator(u, d)
+    return _scaled_hermitian(u.swapaxes(1, 2) @ u.conj(), d)
 
 
 def _encoding_operators(r: np.ndarray, a1: np.ndarray, n: int) -> np.ndarray:
@@ -208,24 +203,6 @@ def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> np.ndarray:
     return _recovery_operators(np.stack(encoder.kraus)[None], np.stack(noise.kraus))[0]
 
 
-def fidelity_operator_encoding(recovery: Channel, noise: Channel) -> np.ndarray:
-    """Fidelity operator X [D, D] for optimizing the encoding with N and R fixed.
-
-    Built from the products ``R_k N_j`` of any noise channel; the free
-    channel maps the logical space into the noise input.  The seesaw
-    builds the same operator qubit by qubit (:func:`_encoding_operators`).
-    """
-    if noise.d_out != recovery.d_in:
-        raise ValueError(f"noise output dim {noise.d_out} does not match "
-                         f"recovery input dim {recovery.d_in}")
-    r, n = np.stack(recovery.kraus), np.stack(noise.kraus)
-    (nk, d, m), (nj, _, c) = r.shape, n.shape
-    # prods[(k, a), (j, b)] = (R_k N_j)[a, b]
-    prods = r.reshape(nk * d, m) @ n.transpose(1, 0, 2).reshape(m, nj * c)
-    u = prods.reshape(nk, d, nj, c).transpose(0, 2, 3, 1).reshape(nk * nj, c * d)
-    return _operator(u, d)
-
-
 def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c[b] @ S_b^(-1/2) with S_b = c[b]^dag c[b], plus S's scale and the completeness error.
 
@@ -264,8 +241,7 @@ def _fidelities(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
-                 stop_tol: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 stop_tol: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the power step on a batch of half-problems until every member stops.
 
     ``x`` is [B, D, D], one fidelity operator per member; ``ks`` is
@@ -283,9 +259,8 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     ``opts.inner_tol``; the member stops on a drop, on a renormalization
     that fails (completeness off by more than ``tol``), when the accepted
     step changes the fidelity by less than its stop tolerance
-    (converged), or after ``opts.max_inner_iters`` steps.  The stop
-    tolerance is ``stop_tol[b]`` per member, ``opts.inner_tol`` for all
-    when it is None; it enters only that test.  A step is a
+    ``stop_tol[b]`` (converged), or after ``opts.max_inner_iters`` steps;
+    ``stop_tol`` enters only that test.  A step is a
     few stacked matmuls and one stacked eigh over the members still
     running, plus one more over the members that fall back; stopped
     members leave the live arrays.
@@ -313,8 +288,6 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     converged = np.zeros(b, dtype=bool)
     live = np.arange(b)
     k = np.zeros(b)
-    if stop_tol is None:
-        stop_tol = np.full(b, opts.inner_tol)
     for step in range(1, opts.max_inner_iters + 1):
         # beta = 0 leaves p exactly as it is: the plain step.
         y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
@@ -369,19 +342,19 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
 # Seesaw driver
 # ---------------------------------------------------------------------------
 
-def _seed_isometries(n: int, d_code: int, opts: SolveOptions,
+def _seed_isometries(n: int, opts: SolveOptions,
                      extra: Sequence[Isometry]) -> List[Tuple[str, Isometry]]:
     # Trivial embedding first: at the fully-damped endpoint every recovery
     # ties to machine precision and the lowest restart index wins, so the
     # exact-arithmetic no-coding restart must come first.
     seeds: List[Tuple[str, Isometry]] = [("trivial", trivial_embedding(n))]
-    if n == 4 and d_code == 16:
+    if n == 4:
         seeds.append(("leung", leung_encoder()))
     for j, iso in enumerate(extra):
         seeds.append((f"warm{j}", iso))
     j = 0
     while len(seeds) < opts.restarts + len(extra):
-        seeds.append((f"random{j}", random_isometry(2, d_code, opts.seed + 1000 + j)))
+        seeds.append((f"random{j}", random_isometry(2, 2 ** n, opts.seed + 1000 + j)))
         j += 1
     return seeds
 
@@ -413,7 +386,7 @@ def _first_best(f: Sequence[float]) -> int:
     return best
 
 
-# Most problems that optimize_recovery_multistarts puts in one kernel
+# Most problems that _multistarts puts in one kernel
 # batch, so that peak memory does not grow with the grid.  A batch holds
 # every member's operator and working arrays until its slowest member
 # stops.  On the 21-point fixed-code curve, one batch of all 20 problems
@@ -424,83 +397,90 @@ def _first_best(f: Sequence[float]) -> int:
 # batchings need both the same field and the same padding width.
 MULTISTART_BATCH = 10
 
-
-# What the starts of a recovery multistart depend on, and the Kraus stacks
-# of those starts: (encoder, rng_seed, extra_starts, noise.d_out, whether
-# X is real-valued, starts).
-_Starts = Tuple[Isometry, int, Sequence[Channel], int, bool, List[np.ndarray]]
+# Kraus rank of the random starts of a recovery multistart.
+KRAUS_RANK_RECOVERY = 16
 
 
-def _multistart_members(encoder: Isometry, noise: Channel, opts: SolveOptions,
-                        rng_seed: int, extra_starts: Sequence[Channel],
-                        last: Optional[_Starts] = None
-                        ) -> Tuple[np.ndarray, List[np.ndarray]]:
+def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
+            extra_starts: Sequence[Channel]) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The recovery operator of one problem and the Kraus stacks of its starts.
 
+    The starts are the encoder-reversal recovery, the extra starts, and
+    two random channels drawn from a generator seeded with ``rng_seed``.
     A problem is real when its operator X and its fixed starts (the
     reversal recovery and the extra starts) have zero imaginary part.  Its
     random starts are then drawn real, and X and every start stack are
-    returned as float64; otherwise all are complex128.  The starts depend
-    on the problem only through its encoder, seed, extra starts,
-    ``noise.d_out`` and whether X is real-valued.  When ``last`` holds the
-    previous problem's, and this one repeats all five (the same encoder
-    and extra-start objects), its start stacks are reused, not built again.
+    returned as float64; otherwise all are complex128.
     """
     x = fidelity_operator_recovery(encoder.as_channel(), noise)
-    x_real = not np.any(x.imag)
     for c in extra_starts:
         if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
             raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
                              f"recovery shape ({encoder.d_in}, {noise.d_out})")
-    if (last is not None and encoder is last[0] and rng_seed == last[1]
-            and len(extra_starts) == len(last[2])
-            and all(a is b for a, b in zip(extra_starts, last[2]))
-            and noise.d_out == last[3] and x_real == last[4]):
-        starts = last[5]
-    else:
-        fixed = [np.stack(c.kraus) for c in (reversal_recovery(encoder), *extra_starts)]
-        real = x_real and not any(np.any(s.imag) for s in fixed)
-        rng = np.random.default_rng(rng_seed)
-        starts = [s.real if real else s for s in fixed]
-        starts += [np.stack(random_cptp(noise.d_out, encoder.d_in, opts.kraus_rank_recovery,
-                                        rng, real).kraus)
-                   for _ in range(2)]
-    return (x.real if starts[0].dtype == np.float64 else x), starts
+    fixed = [np.stack(c.kraus) for c in (reversal_recovery(encoder), *extra_starts)]
+    real = not np.any(x.imag) and not any(np.any(s.imag) for s in fixed)
+    rng = np.random.default_rng(rng_seed)
+    starts = [s.real if real else s for s in fixed]
+    starts += [np.stack(random_cptp(noise.d_out, encoder.d_in, KRAUS_RANK_RECOVERY,
+                                    rng, real).kraus)
+               for _ in range(2)]
+    return (x.real if real else x), starts
 
 
-def optimize_recovery_multistarts(
-        problems: Iterable[Tuple[Isometry, Channel, int, Sequence[Channel]]],
-        opts: SolveOptions) -> List[HalfResult]:
-    """Best recovery of each ``(encoder, noise, rng_seed, extra_starts)`` problem.
+def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
+                                  rng_seed: int, opts: SolveOptions,
+                                  extra_starts: Sequence[Channel] = ()) -> List[HalfResult]:
+    """Best recovery of ``encoder`` under each channel of ``noises``.
 
-    A problem's starts are the encoder-reversal recovery, its extra
+    Every noise channel runs from one start set, built once from the
+    first (:func:`_starts`): the encoder-reversal recovery, the extra
     starts, and two random channels drawn from a generator seeded with
-    ``rng_seed`` (real ones for a real-valued problem); ties go to the
-    earliest start, and ``iterations`` counts the steps of all starts.
-    This is the routine behind the "optimized decoding with the fixed
-    4-qubit code" sweep mode and the seesaw's initial recoveries, so the
-    seesaw's seeded restarts dominate that curve by construction.
+    ``rng_seed`` (real ones when the first problem is real-valued).  Ties
+    go to the earliest start, and ``iterations`` counts the steps of all
+    starts.  This is the routine behind the "optimized decoding with the
+    fixed 4-qubit code" sweep mode and the seesaw's initial recoveries,
+    so the seesaw's seeded restarts dominate that curve by construction.
 
-    A real problem (:func:`_multistart_members`) runs in float64, any
-    other in complex128.  The starts of up to ``MULTISTART_BATCH``
-    consecutive problems of one field run as one kernel batch, and each
-    problem's noise channel is dropped once its operator is built, so
-    ``problems`` may be a generator that builds each noise channel on
-    demand.  A problem that repeats the previous problem's encoder, seed,
-    extra starts, ``noise.d_out`` and field (every gamma of a fixed-code
-    curve) reuses its start stacks.  Members are zero-padded to the
-    widest start in their batch, and the width can change the last bits,
-    so a result is bit-identical to that of the problem passed alone when
-    it runs in the same field and every problem's widest start has the
+    Every noise channel must have the first's output dimension.  A
+    problem runs in float64 when its operator and the starts are
+    real-valued, in complex128 otherwise.  Each noise channel is dropped
+    once its operator is built, so ``noises`` may be a generator that
+    builds each one on demand.  A result is bit-identical to that of a
+    call with its noise channel alone when both run in the same field, as
+    every gamma of a fixed-code curve does.
+    """
+    def problems():
+        starts = None
+        for noise in noises:
+            if starts is None:
+                x, starts = _starts(encoder, noise, rng_seed, extra_starts)
+            elif noise.d_out != starts[0].shape[2]:
+                raise ValueError(f"noise output dim {noise.d_out} differs from the "
+                                 f"first noise channel's {starts[0].shape[2]}")
+            else:
+                x = fidelity_operator_recovery(encoder.as_channel(), noise)
+                if starts[0].dtype == np.float64 and not np.any(x.imag):
+                    x = x.real
+            yield x, starts
+
+    return _multistarts(problems(), opts)
+
+
+def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]],
+                 opts: SolveOptions) -> List[HalfResult]:
+    """Best start of each ``(x, starts)`` problem, ties going to the earliest.
+
+    The starts of up to ``MULTISTART_BATCH`` consecutive problems of one
+    field run as one kernel batch, each stopping at ``opts.inner_tol``.
+    Members are zero-padded to the widest start in their batch, and the
+    width can change the last bits, so a result is bit-identical to that
+    of the problem passed alone when every problem's widest start has the
     same number of Kraus operators (as on a fixed-code curve, and for the
     seesaw's trivial and 4-qubit-code restarts, which share a real batch).
     """
     out: List[HalfResult] = []
     batch: List[Tuple[np.ndarray, List[np.ndarray]]] = []
-    last: Optional[_Starts] = None
-    for encoder, noise, rng_seed, extra_starts in problems:
-        x, starts = _multistart_members(encoder, noise, opts, rng_seed, extra_starts, last)
-        last = (encoder, rng_seed, extra_starts, noise.d_out, not np.any(x.imag), starts)
+    for x, starts in problems:
         if batch and (len(batch) == MULTISTART_BATCH or x.dtype != batch[0][0].dtype):
             out += _multistart_batch(batch, opts)
             batch = []
@@ -521,7 +501,8 @@ def _multistart_batch(batch: Sequence[Tuple[np.ndarray, List[np.ndarray]]],
         xs += [x] * len(starts)
         stacks += starts
     ks, counts = _pad(stacks)
-    best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL)
+    best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL,
+                                        np.full(len(stacks), opts.inner_tol))
     out = []
     for lo, hi in spans:
         j = lo + _first_best(f[lo:hi])
@@ -546,12 +527,15 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
            extra_seed_encoders: Sequence[Isometry] = ()) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
 
-    Restart seeds: the 4-qubit damping code (when n = 4), the trivial
-    embedding, any warm-start encoders, and random isometries up to
-    ``opts.restarts``.  Within each restart, recovery and encoding are
-    optimized in turn until a round at the floor tolerance (below) gains
-    less than ``outer_tol`` (converged) or ``max_outer_rounds`` is
-    reached.  The best restart wins; ties go to the lowest index.
+    Restart seeds: the trivial embedding, the 4-qubit damping code (when
+    n = 4), any warm-start encoders, and seeded random isometries until
+    there are ``opts.restarts`` restarts besides the warm starts.  The
+    fixed seeds always run, so ``restarts_used`` is
+    max(opts.restarts, 2 if n = 4 else 1) plus the number of warm starts.
+    Within each restart, recovery and encoding are optimized in turn
+    until a round at the floor tolerance (below) gains less than
+    ``outer_tol`` (converged) or ``max_outer_rounds`` is reached.  The
+    best restart wins; ties go to the lowest index.
 
     The halves are solved inexactly.  In each round, every half of a
     restart (encoder, recovery and a fallback recovery) stops once an
@@ -575,13 +559,13 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     the pair whose fidelity is recorded.
 
     The restarts run in lockstep: after the restarts' initial recovery
-    multistarts (:func:`optimize_recovery_multistarts`, one call for
-    all; real-valued restarts, such as the trivial and 4-qubit-code
-    ones, run in their own float64 batch, the latter from the fixed-code
-    curve's starts), each round
-    runs one encoder-half batch and one recovery-half batch over the
-    restarts still going, plus one more recovery-half batch over those
-    that fall back.
+    multistarts (one :func:`_starts` per restart, all run by one
+    :func:`_multistarts` call; real-valued restarts, such as the trivial
+    and 4-qubit-code ones, run in their own float64 batch, the latter
+    from the fixed-code curve's starts), each round runs one
+    encoder-half batch and one recovery-half batch over the restarts
+    still going, plus one more recovery-half batch over those that fall
+    back.
 
     Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
@@ -597,13 +581,13 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
 
     noise = tensor_power(noise_single, n)
     nks, a1 = np.stack(noise.kraus), np.stack(noise_single.kraus)
-    seeds = _seed_isometries(n, noise.d_in, opts, extra_seed_encoders)
+    seeds = _seed_isometries(n, opts, extra_seed_encoders)
 
     # Every restart's widest start has the same count (see _pad below), so
     # one batched call gives each restart its one-problem result.
-    results = optimize_recovery_multistarts(
-        ((iso, noise, opts.seed + idx,
-          [partial_trace_recovery(n)] if name == "trivial" else [])
+    results = _multistarts(
+        (_starts(iso, noise, opts.seed + idx,
+                 [partial_trace_recovery(n)] if name == "trivial" else [])
          for idx, (name, iso) in enumerate(seeds)), opts)
     starts = [np.stack(res.channel.kraus) for res in results]
     traces = [[res.fidelity] for res in results]
@@ -613,7 +597,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     # shape does not depend on which restarts exist.  Arrays are never
     # written once a round has stored them, so the state and the best
     # snapshots can hold views into them.
-    padded, rec_count = _pad(starts, max(noise.d_out - 1, opts.kraus_rank_recovery))
+    padded, rec_count = _pad(starts, max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
     rec = list(padded)
     enc = [iso.v[None] for _, iso in seeds]
     snaps = [(enc[i], rec[i], traces[i][0]) for i in range(len(seeds))]

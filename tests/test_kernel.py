@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import seesawqec as q
+from dense import fidelity_operator_encoding
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, SEESAW_KAPPA,
-                                 _encoding_operators, _lowdin, _multistart_members, _pad,
+                                 _encoding_operators, _lowdin, _multistarts, _pad,
                                  _power_batch, _recovery_operators, _renormalize,
-                                 _seed_isometries)
+                                 _seed_isometries, _starts)
 
 
 def reference_renormalize(ks, tol):
@@ -108,16 +109,20 @@ def reference_half(x, ks, opts, tol=1e-9, fallbacks=None, stop_tol=None):
     return best_ks, best_f, iters, converged
 
 
+def floor(opts, b=1):
+    """The stop tolerance ``opts.inner_tol`` for each of b members."""
+    return np.full(b, opts.inner_tol)
+
+
 def one_member(x, ks, opts, tol):
     """The kernel on a batch of one: (best Kraus stack, fidelity, iterations, converged)."""
-    best, f, iters, conv = _power_batch(x[None], ks[None], opts, tol)
+    best, f, iters, conv = _power_batch(x[None], ks[None], opts, tol, floor(opts))
     return best[0], float(f[0]), int(iters[0]), bool(conv[0])
 
 
 def one_problem(encoder, noise, opts, rng_seed, extra_starts=()):
     """The recovery multistart of one problem, passed alone."""
-    return q.optimize_recovery_multistarts([(encoder, noise, rng_seed, extra_starts)],
-                                           opts)[0]
+    return q.optimize_recovery_multistarts(encoder, [noise], rng_seed, opts, extra_starts)[0]
 
 
 def identity_objective(d):
@@ -152,7 +157,8 @@ class TestKernelAgainstReference:
         ]
         opts = q.SolveOptions(max_inner_iters=self.CAP)
         ks, counts = _pad([m[2] for m in members])
-        out = _power_batch(np.stack([m[1] for m in members]), ks, opts, 1e-9)
+        out = _power_batch(np.stack([m[1] for m in members]), ks, opts, 1e-9,
+                           floor(opts, len(members)))
         fallbacks = {name: [] for name, _, _ in members}
         refs = [reference_half(x, k, opts, fallbacks=fallbacks[name])
                 for name, x, k in members]
@@ -195,7 +201,7 @@ class TestAcceleration:
         seed = opts.seed + LEUNG_RESTART_INDEX
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
         res = one_problem(q.leung_encoder(), noise, opts, seed)
-        x, starts = _multistart_members(q.leung_encoder(), noise, opts, seed, ())
+        x, starts = _starts(q.leung_encoder(), noise, seed, ())
         assert len(starts) == 3
         plain = [plain_reference_half(x, ks, opts) for ks in starts]
         assert res.fidelity >= max(p[1] for p in plain) - 1e-12
@@ -210,17 +216,16 @@ class TestStopTolerance:
     @pytest.fixture(scope="class")
     def members(self):
         opts = q.SolveOptions(seed=7)
-        x, starts = [], []
+        problems = []
         for gamma in (0.2, 0.5):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-            xg, sg = _multistart_members(q.leung_encoder(), noise, opts, 8, ())
-            x += [xg] * 2
-            starts += sg[1:]
-        ks, _ = _pad(starts)
-        return opts, np.stack(x), ks
+            xg, sg = _starts(q.leung_encoder(), noise, 8, ())
+            problems.append((xg, sg[1:]))
+        ks, _ = _pad([s for _, sg in problems for s in sg])
+        return opts, np.stack([xg for xg, sg in problems for _ in sg]), ks, problems
 
     def test_mixed_batch_equals_one_member_calls(self, members):
-        opts, x, ks = members
+        opts, x, ks, _ = members
         tols = np.array(self.TOLS)
         best, f, iters, conv = _power_batch(x, ks, opts, 1e-9, tols)
         for b, tol in enumerate(tols):
@@ -232,14 +237,17 @@ class TestStopTolerance:
             assert abs(f[b] - ref[1]) < 1e-10 and (iters[b], conv[b]) == ref[2:], tol
 
     def test_looser_tolerance_stops_sooner_and_the_default_is_inner_tol(self, members):
-        opts, x, ks = members
+        # The multistart, the kernel's one caller without tolerances of
+        # its own, stops every member at inner_tol.
+        opts, x, ks, problems = members
         _, f, iters, _ = _power_batch(x, ks, opts, 1e-9, np.array(self.TOLS))
-        floor = _power_batch(x, ks, opts, 1e-9, np.full(len(x), opts.inner_tol))
-        default = _power_batch(x, ks, opts, 1e-9)
-        for a, b in zip(floor, default):
-            np.testing.assert_array_equal(a, b)
-        assert iters[0] < floor[2][0] and iters[2] < floor[2][2]
-        assert iters[1] == floor[2][1] and f[1] == floor[1][1]
+        at_floor = _power_batch(x, ks, opts, 1e-9, floor(opts, len(x)))
+        for p, res in enumerate(_multistarts(problems, opts)):
+            fp = at_floor[1][2 * p:2 * p + 2]
+            assert res.fidelity == fp[int(fp[1] > fp[0] + 1e-12)]
+            assert res.iterations == at_floor[2][2 * p:2 * p + 2].sum()
+        assert iters[0] < at_floor[2][0] and iters[2] < at_floor[2][2]
+        assert iters[1] == at_floor[2][1] and f[1] == at_floor[1][1]
 
 
 def conditioned_stack(cond, seed=0):
@@ -275,7 +283,7 @@ class TestRenormalizeRedo:
         x = np.eye(4, dtype=complex)
         opts = q.SolveOptions()
         assert reference_half(x, ks, opts)[1:] == (reference_fidelity(x, ks), 1, False)
-        best, f, iters, conv = _power_batch(x[None], ks[None], opts, 1e-9)
+        best, f, iters, conv = _power_batch(x[None], ks[None], opts, 1e-9, floor(opts))
         assert abs(f[0] - 2.0) < 1e-12 and conv[0] and iters[0] == 2
         assert_complete(best[0])
 
@@ -307,7 +315,7 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
     rec = np.stack(rec.kraus)
     while True:
         tol = max(opts.inner_tol, SEESAW_KAPPA * gain)
-        y = q.fidelity_operator_encoding(q.Channel(list(rec)), noise)
+        y = fidelity_operator_encoding(q.Channel(list(rec)), noise)
         e_ks, f_e, _, _ = reference_half(y, enc[None], opts, ISOMETRY_TOL, stop_tol=tol)
         e = e_y = e_ks[0]
         if k > 0:
@@ -344,7 +352,7 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
     enc, e_prev, k, iters = iso.v, None, 0, 0
     rec = np.stack(rec.kraus)
     while True:
-        y = q.fidelity_operator_encoding(q.Channel(list(rec)), noise)
+        y = fidelity_operator_encoding(q.Channel(list(rec)), noise)
         e_ks, f_e, it, _ = one_member(y, enc[None], opts, ISOMETRY_TOL)
         iters += it
         e = e_y = e_ks[0]
@@ -374,7 +382,7 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
 def seesaw_starts(noise, n, opts):
     """(seed isometry, initial recovery multistart) of each restart of seesaw(n)."""
     out = []
-    for idx, (name, iso) in enumerate(_seed_isometries(n, 2 ** n, opts, ())):
+    for idx, (name, iso) in enumerate(_seed_isometries(n, opts, ())):
         extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
         out.append((iso, one_problem(iso, noise, opts, opts.seed + idx, extra)))
     return out
@@ -495,7 +503,8 @@ class TestBatchedMultistart:
 
     def test_each_result_equals_its_one_problem_call(self, problems):
         opts, problems = problems
-        batched = q.optimize_recovery_multistarts(iter(problems), opts)
+        batched = _multistarts((_starts(enc, noise, seed, extra)
+                                for enc, noise, seed, extra in problems), opts)
         assert len(batched) == len(problems)
         for (enc, noise, seed, extra), res in zip(problems, batched):
             alone = one_problem(enc, noise, opts, seed, extra)
@@ -549,7 +558,7 @@ class TestStackedBuilds:
         r, _ = _pad([np.stack(c.kraus) for c in recs], m + 2)
         x = _encoding_operators(r, np.stack(single.kraus), n)
         for b, c in enumerate(recs):
-            ref = q.fidelity_operator_encoding(c, noise)
+            ref = fidelity_operator_encoding(c, noise)
             assert np.abs(x[b] - ref).max() <= 1e-14 * np.abs(ref).max(), b
 
     @pytest.mark.parametrize("rank", [1, 3])
@@ -568,33 +577,66 @@ class TestStackedBuilds:
             np.testing.assert_array_equal(public, alone)
 
 
+def count_start_builds(monkeypatch):
+    """Count the optimizer's calls of the two start builders, by name."""
+    calls = {"random_cptp": 0, "reversal_recovery": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(q.optimizer, name, counted)
+    return calls
+
+
 class TestSharedStarts:
-    """Problems that repeat their predecessor's starts reuse its start stacks."""
+    """One multistart call builds one start set for all its noise channels."""
 
     def test_fixed_code_curve_builds_its_starts_once(self, monkeypatch):
-        calls = {"random_cptp": 0, "reversal_recovery": 0}
-        for name in calls:
-            def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(q.optimizer, name, counted)
+        calls = count_start_builds(monkeypatch)
         config = q.SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
                                modes=("leung_optrec",), options=q.SolveOptions(seed=7))
         assert len(q.run_sweep(config)) == config.steps
         # One problem per gamma > 0 drew 2 random starts and built 1 reversal.
         assert calls == {"random_cptp": 2, "reversal_recovery": 1}
 
-    def test_starts_are_rebuilt_when_the_seed_or_extra_starts_change(self):
+    def test_each_call_builds_its_own_starts(self, monkeypatch):
+        calls = count_start_builds(monkeypatch)
         opts = q.SolveOptions(seed=7)
-        leung, noise = q.leung_encoder(), q.tensor_power(q.amplitude_damping(0.3), 4)
-        extra = [q.partial_trace_recovery(4)]
-        problems = [(leung, noise, 8, extra), (leung, noise, 8, ()),
-                    (leung, noise, 8, extra), (leung, noise, 9, extra),
-                    (leung, noise, 9, [q.partial_trace_recovery(4)])]
-        batched = q.optimize_recovery_multistarts(problems, opts)
-        for (enc, nz, seed, ex), res in zip(problems, batched):
-            alone = one_problem(enc, nz, opts, seed, ex)
-            assert (res.fidelity, res.iterations) == (alone.fidelity, alone.iterations)
+        leung = q.leung_encoder()
+        noises = [q.tensor_power(q.amplitude_damping(g), 4) for g in (0.3, 0.5)]
+        first = q.optimize_recovery_multistarts(leung, noises, 8, opts)
+        again = q.optimize_recovery_multistarts(leung, noises, 8, opts)
+        assert calls == {"random_cptp": 4, "reversal_recovery": 2}
+        assert [(r.fidelity, r.iterations) for r in first] == \
+            [(r.fidelity, r.iterations) for r in again]
+        other = q.optimize_recovery_multistarts(leung, noises[:1], 9, opts,
+                                                [q.partial_trace_recovery(4)])[0]
+        assert calls == {"random_cptp": 6, "reversal_recovery": 3}
+        alone = one_problem(leung, noises[0], opts, 9, [q.partial_trace_recovery(4)])
+        assert (other.fidelity, other.iterations) == (alone.fidelity, alone.iterations)
+
+    def test_later_noise_channels_run_from_the_first_ones_starts(self):
+        # A complex noise channel after a real one keeps the real start set
+        # and runs in complex128.
+        opts = q.SolveOptions(seed=7)
+        enc = q.trivial_embedding(2)
+        real = q.tensor_power(q.amplitude_damping(0.3), 2)
+        cplx = q.random_cptp(4, 4, 2, np.random.default_rng(3))
+        out = q.optimize_recovery_multistarts(enc, iter([real, cplx]), 8, opts)
+        x, starts = _starts(enc, real, 8, ())
+        assert x.dtype == np.float64
+        assert out[0].channel.kraus[0].dtype == np.float64
+        assert out[1].channel.kraus[0].dtype == np.complex128
+        x2 = q.fidelity_operator_recovery(enc.as_channel(), cplx)
+        ref = _multistarts([(x2, starts)], opts)[0]
+        assert (out[1].fidelity, out[1].iterations) == (ref.fidelity, ref.iterations)
+
+    def test_rejects_noise_channels_of_another_output_dim(self):
+        noises = [q.tensor_power(q.amplitude_damping(0.3), 2),
+                  q.random_cptp(4, 2, 2, np.random.default_rng(3))]
+        with pytest.raises(ValueError, match="differs from the first"):
+            q.optimize_recovery_multistarts(q.trivial_embedding(2), noises, 8,
+                                            q.SolveOptions())
 
 
 class TestRealField:
@@ -605,9 +647,9 @@ class TestRealField:
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
         for enc, extra in [(q.leung_encoder(), ()),
                            (q.trivial_embedding(4), [q.partial_trace_recovery(4)])]:
-            x, starts = _multistart_members(enc, noise, opts, 8, extra)
+            x, starts = _starts(enc, noise, 8, extra)
             assert [a.dtype for a in (x, *starts)] == [np.float64] * (1 + len(starts))
-        x, starts = _multistart_members(q.random_isometry(2, 16, 3), noise, opts, 8, ())
+        x, starts = _starts(q.random_isometry(2, 16, 3), noise, 8, ())
         assert [a.dtype for a in (x, *starts)] == [np.complex128] * (1 + len(starts))
         assert all(np.any(a.imag) for a in (x, *starts))
 
@@ -616,12 +658,13 @@ class TestRealField:
         xs, stacks = [], []
         for gamma in (0.1, 0.2, 0.3, 0.6):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-            x, starts = _multistart_members(q.leung_encoder(), noise, opts, 8, ())
+            x, starts = _starts(q.leung_encoder(), noise, 8, ())
             xs += [x] * len(starts)
             stacks += starts
         x, (ks, _) = np.stack(xs), _pad(stacks)
-        real = _power_batch(x, ks, opts, 1e-9)
-        cplx = _power_batch(x.astype(complex), ks.astype(complex), opts, 1e-9)
+        real = _power_batch(x, ks, opts, 1e-9, floor(opts, len(x)))
+        cplx = _power_batch(x.astype(complex), ks.astype(complex), opts, 1e-9,
+                            floor(opts, len(x)))
         assert (real[0].dtype, cplx[0].dtype) == (np.float64, np.complex128)
         np.testing.assert_allclose(real[1], cplx[1], rtol=0, atol=1e-9)
         for a, b in zip(real[2:], cplx[2:]):

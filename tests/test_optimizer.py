@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import seesawqec as q
+from dense import fidelity_operator_encoding
 from oracle import oracle_optimize
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.codes import ISOMETRY_TOL
@@ -28,20 +29,20 @@ def quadratic_fidelity(x, c):
 def optimize_half(x, initial, opts):
     """The kernel on one recovery-style member: (channel, fidelity, iterations, converged)."""
     best, f, iters, conv = _power_batch(x[None], np.stack(initial.kraus)[None], opts,
-                                        COMPLETENESS_TOL)
+                                        COMPLETENESS_TOL, np.array([opts.inner_tol]))
     return q.Channel(list(best[0])), float(f[0]), int(iters[0]), bool(conv[0])
 
 
 def optimize_isometry(y, initial, opts):
     """The kernel on one encoder member of a single Kraus operator."""
-    best, f, iters, conv = _power_batch(y[None], initial.v[None, None], opts, ISOMETRY_TOL)
+    best, f, iters, conv = _power_batch(y[None], initial.v[None, None], opts, ISOMETRY_TOL,
+                                        np.array([opts.inner_tol]))
     return q.Isometry(best[0, 0]), float(f[0]), int(iters[0]), bool(conv[0])
 
 
 def fixed_code_recovery(noise, opts, rng_seed):
     """The fixed-code curve's multistart at one noise channel."""
-    return q.optimize_recovery_multistarts([(q.leung_encoder(), noise, rng_seed, ())],
-                                           opts)[0]
+    return q.optimize_recovery_multistarts(q.leung_encoder(), [noise], rng_seed, opts)[0]
 
 
 class TestFidelityOperators:
@@ -67,14 +68,14 @@ class TestFidelityOperators:
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
         enc = q.random_isometry(2, d_code, 700 + seed).as_channel()
         rec = q.random_cptp(d_code, 2, 4, rng)
-        y = q.fidelity_operator_encoding(rec, noise)
+        y = fidelity_operator_encoding(rec, noise)
         f_quad = quadratic_fidelity(y, enc)
         assert abs(f_quad - composed_fidelity(enc, noise, rec)) < 1e-10
 
     def test_operator_is_psd_with_expected_trace(self):
         noise = q.tensor_power(q.amplitude_damping(0.3), 2)
         rec = random_channel(4, 2, 3, 801)
-        y = q.fidelity_operator_encoding(rec, noise)
+        y = fidelity_operator_encoding(rec, noise)
         w = np.linalg.eigvalsh(y)
         assert w[0] > -1e-9
         expect = sum(np.linalg.norm(r @ n) ** 2
@@ -140,7 +141,7 @@ class TestOptimizeEncodingIsometric:
         noise = q.identity_channel(8)
         iso = q.random_isometry(2, 8, 13)
         rec = q.reversal_recovery(iso)
-        y = q.fidelity_operator_encoding(rec, noise)
+        y = fidelity_operator_encoding(rec, noise)
         out, f, _, _ = optimize_isometry(y, iso, q.SolveOptions())
         assert f >= 1.0 - 1e-10
         dev = np.max(np.abs(out.v.conj().T @ out.v - np.eye(2)))
@@ -151,7 +152,7 @@ class TestOptimizeEncodingIsometric:
         opts = q.SolveOptions(seed=3, restarts=3, max_outer_rounds=20)
         res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        y = q.fidelity_operator_encoding(res.recovery, noise)
+        y = fidelity_operator_encoding(res.recovery, noise)
         assert res.encoder_isometry is not None
         _, f, _, _ = optimize_isometry(y, res.encoder_isometry, opts)
         assert f >= res.fidelity - opts.inner_tol
@@ -266,6 +267,15 @@ class TestSeesaw:
                         extra_seed_encoders=[first.encoder_isometry])
         assert warm.restarts_used == opts.restarts + 1
 
+    @pytest.mark.parametrize("n, restarts, warm, used", [(4, 1, 0, 2), (3, 1, 0, 1),
+                                                          (4, 2, 1, 3)])
+    def test_fixed_seeds_run_whatever_the_restart_count(self, n, restarts, warm, used):
+        # The trivial embedding, and the 4-qubit code at n = 4, always run.
+        opts = q.SolveOptions(seed=4, restarts=restarts, max_outer_rounds=2)
+        extra = [q.random_isometry(2, 2 ** n, 50 + j) for j in range(warm)]
+        res = q.seesaw(q.amplitude_damping(0.3), n, opts, extra_seed_encoders=extra)
+        assert res.restarts_used == len(res.restart_traces) == used
+
     @pytest.mark.parametrize("warm", [q.random_isometry(3, 8, 1), q.random_isometry(2, 16, 1),
                                       np.eye(8, 2)])
     def test_rejects_a_warm_start_that_is_not_a_2_to_2n_isometry(self, warm):
@@ -288,13 +298,13 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="positive"):
             q.SolveOptions(**{field: float("nan")})
 
-    def test_rejects_bad_ranks(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            q.SolveOptions(kraus_rank_recovery=0)
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            q.SolveOptions(restarts=0)
 
     @pytest.mark.parametrize("field, value", [
         ("max_inner_iters", 2.5), ("max_outer_rounds", 1.5), ("restarts", 2.5),
-        ("kraus_rank_recovery", 2.5), ("seed", 7.0), ("restarts", True),
+        ("seed", 7.0), ("restarts", True),
         ("max_inner_iters", "10")])
     def test_rejects_non_integer_limits(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
