@@ -94,7 +94,6 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
     Each of those rows gets an equal share of the call's wall time; the
     noiseless point is exact and takes no time.
     """
-    opts = config.options
     enc = leung_encoder()
     grid = [float(g) for g in _grid(config)]
     # The multistart gives 0.9999999999999997, unconverged, at gamma = 0;
@@ -107,7 +106,7 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
     # batch is filled.
     results = optimize_recovery_multistarts(
         enc, (tensor_power(amplitude_damping(g), 4) for g in noisy),
-        opts.seed + LEUNG_RESTART_INDEX, opts)
+        config.options.seed + LEUNG_RESTART_INDEX)
     share = (time.perf_counter() - t0) * 1e3 / max(len(noisy), 1)
     for g, res in zip(noisy, results):
         out.append(SweepRecord(g, "leung_optrec", res.fidelity, res.iterations, 1, 1,

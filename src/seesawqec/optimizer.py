@@ -17,8 +17,8 @@ recovery half sees the encoder pushed along its last change, and a round
 that would end below its encoder half's value is redone without it.  It
 is also inexact: a round solves its halves only to a fixed fraction
 (``SEESAW_KAPPA``) of the restart's gain over its last round, and never
-tighter than ``inner_tol``; a restart counts as converged only on a
-round whose halves ran at ``inner_tol``.
+tighter than ``INNER_TOL``; a restart counts as converged only on a
+round whose halves ran at ``INNER_TOL``.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the starts of several multistarts (a
@@ -49,6 +49,7 @@ field changes.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -75,40 +76,63 @@ def require_integers(obj, names: Sequence[str]) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# A half-problem stops when one accepted power step changes the fidelity
+# by less than INNER_TOL, or after MAX_INNER_ITERS steps, and a step may
+# lower the fidelity by at most INNER_TOL.  In a seesaw round INNER_TOL is
+# only the floor of the halves' stop tolerance (see SEESAW_KAPPA).
+INNER_TOL = 1e-10
+MAX_INNER_ITERS = 2000
+
+# Inexact alternation: a seesaw round stops each half once one accepted
+# step changes the fidelity by less than SEESAW_KAPPA times the restart's
+# gain over its last round (never less than INNER_TOL), so a half is
+# solved only as tightly as the alternation's progress needs.  Scanned on
+# the full figure (seed 7; seesaw_sweep solve-time ratio, then the worst
+# per-gamma drop against the exact halves): 0.001 1.44x, -2.5e-6;
+# 0.003 1.53x, -2.3e-6; 0.01 1.74x, -1.7e-8; 0.1 1.9x, -3.2e-6 with
+# gamma = 0.5 at the round cap; 1 about 1.85x, -9.1e-6 with two points
+# at the cap.
+SEESAW_KAPPA = 0.01
+
+# Most problems that _multistarts puts in one kernel batch, so that peak
+# memory does not grow with the grid.  A batch holds every member's
+# operator and working arrays until its slowest member stops.  On the
+# 21-point fixed-code curve, one batch of all 20 problems raised peak RSS
+# from 39.5 to 44.8 MiB; ten (30 members) give 42.8 MiB at the same
+# speed, since the step count is set by the slowest member either way,
+# and five give 40.7 MiB but take 13% longer.  A batch also ends where
+# the problems' field changes.  Bit-identical results across batchings
+# need both the same field and the same padding width.
+MULTISTART_BATCH = 10
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Limits, tolerances and seeds of the solvers.
+    """Limits, tolerance and seed of the seesaw.
 
-    ``max_inner_iters``: power steps per half-problem.  ``inner_tol``: a
-    half-problem stops when one accepted step changes the fidelity by
-    less than this, and a step may lower it by at most this much.  In a
-    seesaw round it is the floor of the halves' stop tolerance, which is
-    looser while the restart still gains (see :func:`seesaw`).
     ``max_outer_rounds``: seesaw rounds per restart.  ``outer_tol``: a
     seesaw restart has converged when a round at the floor tolerance
-    gains less than this.  ``restarts``: seesaw restarts besides warm
-    starts.  The fixed ones (the trivial embedding, and the 4-qubit code
-    when n = 4) always run, and seeded random isometries fill up to this
-    count, so n = 4 runs 2 restarts even when it is 1.  ``seed``: base of
-    every seed the solvers derive.
+    ``INNER_TOL`` gains less than this.  ``restarts``: seesaw restarts
+    besides warm starts.  The fixed ones (the trivial embedding, and the
+    4-qubit code when n = 4) always run, and seeded random isometries
+    fill up to this count, so n = 4 runs 2 restarts even when it is 1.
+    ``seed``: base of every seed the solvers derive.
     """
 
-    max_inner_iters: int = 2000
-    inner_tol: float = 1e-10
     max_outer_rounds: int = 200
     outer_tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("max_inner_iters", "max_outer_rounds", "restarts", "seed"))
+        require_integers(self, ("max_outer_rounds", "restarts", "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
-        if not (self.inner_tol > 0 and self.outer_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_inner_iters < 1 or self.max_outer_rounds < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if not self.outer_tol > 0:
+            raise ValueError("outer_tol must be positive")
+        if self.max_outer_rounds < 1:
+            raise ValueError("max_outer_rounds must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -240,7 +264,7 @@ def _fidelities(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (v.conj() * p).reshape(len(v), -1).sum(axis=1).real
 
 
-def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
+def _power_batch(x: np.ndarray, ks: np.ndarray, tol: float,
                  stop_tol: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the power step on a batch of half-problems until every member stops.
 
@@ -256,14 +280,13 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     does not lower the fidelity; otherwise the member redoes the plain
     step from K_t (the k = 0 case, Y = K_t) and k restarts from 0.  A
     plain candidate is accepted unless its fidelity drops by more than
-    ``opts.inner_tol``; the member stops on a drop, on a renormalization
-    that fails (completeness off by more than ``tol``), when the accepted
-    step changes the fidelity by less than its stop tolerance
-    ``stop_tol[b]`` (converged), or after ``opts.max_inner_iters`` steps;
-    ``stop_tol`` enters only that test.  A step is a
-    few stacked matmuls and one stacked eigh over the members still
-    running, plus one more over the members that fall back; stopped
-    members leave the live arrays.
+    ``INNER_TOL``; the member stops on a drop, on a renormalization that
+    fails (completeness off by more than ``tol``), when the accepted step
+    changes the fidelity by less than its stop tolerance ``stop_tol[b]``
+    (converged), or after ``MAX_INNER_ITERS`` steps; ``stop_tol`` enters
+    only that test.  A step is a few stacked matmuls and one stacked eigh
+    over the members still running, plus one more over the members that
+    fall back; stopped members leave the live arrays.
 
     The batch runs in the field of its inputs: float64 when ``x`` and
     ``ks`` are both float64, complex128 otherwise.
@@ -284,11 +307,11 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
     p_prev = p
     f = _fidelities(v, p)
     best, best_f = v.copy(), f.copy()
-    iterations = np.full(b, opts.max_inner_iters)
+    iterations = np.full(b, MAX_INNER_ITERS)
     converged = np.zeros(b, dtype=bool)
     live = np.arange(b)
     k = np.zeros(b)
-    for step in range(1, opts.max_inner_iters + 1):
+    for step in range(1, MAX_INNER_ITERS + 1):
         # beta = 0 leaves p exactly as it is: the plain step.
         y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
         cand, ok = _renormalize(y.reshape(len(live), r * o, i), tol)
@@ -302,7 +325,7 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, opts: SolveOptions, tol: float,
             cand[redo], p_new[redo] = c, c @ x[redo]
             f_new[redo] = _fidelities(c, p_new[redo])
             k[redo] = 0
-        accept = ok & (f_new >= f - opts.inner_tol)
+        accept = ok & (f_new >= f - INNER_TOL)
         up = accept & (f_new > best_f[live])
         best[live[up]] = cand[up]
         best_f[live[up]] = f_new[up]
@@ -386,17 +409,6 @@ def _first_best(f: Sequence[float]) -> int:
     return best
 
 
-# Most problems that _multistarts puts in one kernel
-# batch, so that peak memory does not grow with the grid.  A batch holds
-# every member's operator and working arrays until its slowest member
-# stops.  On the 21-point fixed-code curve, one batch of all 20 problems
-# raised peak RSS from 39.5 to 44.8 MiB; ten (30 members) give 42.8 MiB
-# at the same speed, since the step count is set by the slowest member
-# either way, and five give 40.7 MiB but take 13% longer.  A batch also
-# ends where the problems' field changes.  Bit-identical results across
-# batchings need both the same field and the same padding width.
-MULTISTART_BATCH = 10
-
 # Kraus rank of the random starts of a recovery multistart.
 KRAUS_RANK_RECOVERY = 16
 
@@ -405,18 +417,15 @@ def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
             extra_starts: Sequence[Channel]) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The recovery operator of one problem and the Kraus stacks of its starts.
 
-    The starts are the encoder-reversal recovery, the extra starts, and
-    two random channels drawn from a generator seeded with ``rng_seed``.
+    The starts are the encoder-reversal recovery, the extra starts (the
+    seesaw's trivial restart adds the partial-trace recovery), and two
+    random channels drawn from a generator seeded with ``rng_seed``.
     A problem is real when its operator X and its fixed starts (the
     reversal recovery and the extra starts) have zero imaginary part.  Its
     random starts are then drawn real, and X and every start stack are
     returned as float64; otherwise all are complex128.
     """
     x = fidelity_operator_recovery(encoder.as_channel(), noise)
-    for c in extra_starts:
-        if (c.d_out, c.d_in) != (encoder.d_in, noise.d_out):
-            raise ValueError(f"start channel shape ({c.d_out}, {c.d_in}) does not match "
-                             f"recovery shape ({encoder.d_in}, {noise.d_out})")
     fixed = [np.stack(c.kraus) for c in (reversal_recovery(encoder), *extra_starts)]
     real = not np.any(x.imag) and not any(np.any(s.imag) for s in fixed)
     rng = np.random.default_rng(rng_seed)
@@ -428,18 +437,18 @@ def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
 
 
 def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
-                                  rng_seed: int, opts: SolveOptions,
-                                  extra_starts: Sequence[Channel] = ()) -> List[HalfResult]:
+                                  rng_seed: int) -> List[HalfResult]:
     """Best recovery of ``encoder`` under each channel of ``noises``.
 
     Every noise channel runs from one start set, built once from the
-    first (:func:`_starts`): the encoder-reversal recovery, the extra
-    starts, and two random channels drawn from a generator seeded with
-    ``rng_seed`` (real ones when the first problem is real-valued).  Ties
-    go to the earliest start, and ``iterations`` counts the steps of all
-    starts.  This is the routine behind the "optimized decoding with the
-    fixed 4-qubit code" sweep mode and the seesaw's initial recoveries,
-    so the seesaw's seeded restarts dominate that curve by construction.
+    first (:func:`_starts`): the encoder-reversal recovery and two random
+    channels drawn from a generator seeded with ``rng_seed`` (real ones
+    when the first problem is real-valued).  Each start stops at
+    ``INNER_TOL``, ties go to the earliest start, and ``iterations``
+    counts the steps of all starts.  This is the routine behind the
+    "optimized decoding with the fixed 4-qubit code" sweep mode and the
+    seesaw's initial recoveries, so the seesaw's seeded restarts dominate
+    that curve by construction.
 
     Every noise channel must have the first's output dimension.  A
     problem runs in float64 when its operator and the starts are
@@ -453,7 +462,7 @@ def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
         starts = None
         for noise in noises:
             if starts is None:
-                x, starts = _starts(encoder, noise, rng_seed, extra_starts)
+                x, starts = _starts(encoder, noise, rng_seed, ())
             elif noise.d_out != starts[0].shape[2]:
                 raise ValueError(f"noise output dim {noise.d_out} differs from the "
                                  f"first noise channel's {starts[0].shape[2]}")
@@ -463,15 +472,14 @@ def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
                     x = x.real
             yield x, starts
 
-    return _multistarts(problems(), opts)
+    return _multistarts(problems())
 
 
-def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]],
-                 opts: SolveOptions) -> List[HalfResult]:
+def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]]) -> List[HalfResult]:
     """Best start of each ``(x, starts)`` problem, ties going to the earliest.
 
     The starts of up to ``MULTISTART_BATCH`` consecutive problems of one
-    field run as one kernel batch, each stopping at ``opts.inner_tol``.
+    field run as one kernel batch, each stopping at ``INNER_TOL``.
     Members are zero-padded to the widest start in their batch, and the
     width can change the last bits, so a result is bit-identical to that
     of the problem passed alone when every problem's widest start has the
@@ -479,48 +487,21 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]],
     seesaw's trivial and 4-qubit-code restarts, which share a real batch).
     """
     out: List[HalfResult] = []
-    batch: List[Tuple[np.ndarray, List[np.ndarray]]] = []
-    for x, starts in problems:
-        if batch and (len(batch) == MULTISTART_BATCH or x.dtype != batch[0][0].dtype):
-            out += _multistart_batch(batch, opts)
-            batch = []
-        batch.append((x, starts))
-    if batch:
-        out += _multistart_batch(batch, opts)
+    for _, same_field in itertools.groupby(problems, key=lambda p: p[0].dtype):
+        while batch := list(itertools.islice(same_field, MULTISTART_BATCH)):
+            xs, stacks, spans = [], [], []
+            for x, starts in batch:
+                spans.append((len(stacks), len(stacks) + len(starts)))
+                xs += [x] * len(starts)
+                stacks += starts
+            ks, counts = _pad(stacks)
+            best, f, iters, conv = _power_batch(np.stack(xs), ks, COMPLETENESS_TOL,
+                                                np.full(len(stacks), INNER_TOL))
+            for lo, hi in spans:
+                j = lo + _first_best(f[lo:hi])
+                out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
+                                      int(iters[lo:hi].sum()), bool(conv[j])))
     return out
-
-
-def _multistart_batch(batch: Sequence[Tuple[np.ndarray, List[np.ndarray]]],
-                      opts: SolveOptions) -> List[HalfResult]:
-    """Run the starts of every ``(x, starts)`` problem as one kernel batch."""
-    xs: List[np.ndarray] = []
-    stacks: List[np.ndarray] = []
-    spans: List[Tuple[int, int]] = []
-    for x, starts in batch:
-        spans.append((len(stacks), len(stacks) + len(starts)))
-        xs += [x] * len(starts)
-        stacks += starts
-    ks, counts = _pad(stacks)
-    best, f, iters, conv = _power_batch(np.stack(xs), ks, opts, COMPLETENESS_TOL,
-                                        np.full(len(stacks), opts.inner_tol))
-    out = []
-    for lo, hi in spans:
-        j = lo + _first_best(f[lo:hi])
-        out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
-                              int(iters[lo:hi].sum()), bool(conv[j])))
-    return out
-
-
-# Inexact alternation: a seesaw round stops each half once one accepted
-# step changes the fidelity by less than SEESAW_KAPPA times the restart's
-# gain over its last round (never less than inner_tol), so a half is
-# solved only as tightly as the alternation's progress needs.  Scanned on
-# the full figure (seed 7; seesaw_sweep solve-time ratio, then the worst
-# per-gamma drop against the exact halves): 0.001 1.44x, -2.5e-6;
-# 0.003 1.53x, -2.3e-6; 0.01 1.74x, -1.7e-8; 0.1 1.9x, -3.2e-6 with
-# gamma = 0.5 at the round cap; 1 about 1.85x, -9.1e-6 with two points
-# at the cap.
-SEESAW_KAPPA = 0.01
 
 
 def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
@@ -540,10 +521,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     The halves are solved inexactly.  In each round, every half of a
     restart (encoder, recovery and a fallback recovery) stops once an
     accepted power step changes the fidelity by less than
-    max(inner_tol, SEESAW_KAPPA * g), where g is the restart's gain over
+    max(INNER_TOL, SEESAW_KAPPA * g), where g is the restart's gain over
     its previous round (0 in its first round).  A round that gains less
     than ``outer_tol`` ends the restart as converged only if it ran at
-    the floor, SEESAW_KAPPA * g <= inner_tol; otherwise the restart runs
+    the floor, SEESAW_KAPPA * g <= INNER_TOL; otherwise the restart runs
     one more round, which is then at the floor.
 
     A round extrapolates the encoder the way the power step extrapolates
@@ -588,7 +569,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     results = _multistarts(
         (_starts(iso, noise, opts.seed + idx,
                  [partial_trace_recovery(n)] if name == "trivial" else [])
-         for idx, (name, iso) in enumerate(seeds)), opts)
+         for idx, (name, iso) in enumerate(seeds)))
     starts = [np.stack(res.channel.kraus) for res in results]
     traces = [[res.fidelity] for res in results]
     total_iters = sum(res.iterations for res in results)
@@ -608,17 +589,17 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     # Per restart: the encoder half's last output E' and the number k of
     # rounds since the last fallback, which set the extrapolation below,
     # and its gain over its last round, which sets its halves' stop
-    # tolerance max(inner_tol, SEESAW_KAPPA * gain).
+    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).
     e_half = list(enc)
     k = np.zeros(len(seeds))
     gain = np.zeros(len(seeds))
     live = list(range(len(seeds)))
     while live:
-        stop_tol = np.maximum(opts.inner_tol, SEESAW_KAPPA * gain[live])
+        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
         rec_start = np.stack([rec[i] for i in live])
         enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n),
                                              np.stack([enc[i] for i in live]),
-                                             opts, ISOMETRY_TOL, stop_tol)
+                                             ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
         kl = k[live]
         y = enc_new + (kl / (kl + 3))[:, None, None, None] * (
@@ -626,14 +607,14 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
         e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
         ext = ok & (kl > 0)
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
-        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start, opts,
+        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start,
                                              COMPLETENESS_TOL, stop_tol)
         total_iters += int(it_e.sum() + it_r.sum())
         # A round that ends below f_e redoes its recovery half at E'.
         back = ext & (f_r < f_e)
         if back.any():
             rec_new[back], f_r[back], it_b, _ = _power_batch(
-                _recovery_operators(enc_new[back], nks), rec_start[back], opts,
+                _recovery_operators(enc_new[back], nks), rec_start[back],
                 COMPLETENESS_TOL, stop_tol[back])
             e_y[back] = enc_new[back]
             total_iters += int(it_b.sum())
@@ -649,9 +630,9 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             if trace[-1] > snaps[i][2]:
                 snaps[i] = (enc[i], rec[i], trace[-1])
             # A small gain counts only from a round whose halves ran at the
-            # floor inner_tol; after a looser round, one more round decides.
+            # floor INNER_TOL; after a looser round, one more round decides.
             g = trace[-1] - f_round[i]
-            if g < opts.outer_tol and stop_tol[pos] == opts.inner_tol:
+            if g < opts.outer_tol and stop_tol[pos] == INNER_TOL:
                 converged[i] = True
             elif rounds[i] < opts.max_outer_rounds:
                 f_round[i], gain[i] = trace[-1], g

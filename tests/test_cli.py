@@ -77,6 +77,23 @@ class TestRunSweep:
         config = q.SweepConfig(steps=np.int64(3), copies=np.int32(4))
         assert (config.steps, config.copies) == (3, 4)
 
+    def test_seesaw_rows_equal_a_chain_of_warm_started_calls(self):
+        # Each seesaw point after the first runs with the previous point's
+        # winning encoder as an extra restart.
+        opts = q.SolveOptions(seed=7, restarts=2)
+        config = q.SweepConfig(gamma_min=0.2, gamma_max=0.3, steps=2, copies=3,
+                               modes=("seesaw",), options=opts)
+        first = q.seesaw(q.amplitude_damping(0.2), 3, opts)
+        second = q.seesaw(q.amplitude_damping(0.3), 3, opts,
+                          extra_seed_encoders=[first.encoder_isometry])
+        records = q.run_sweep(config)
+        assert [r.gamma for r in records] == [0.2, 0.3]
+        for r, res in zip(records, (first, second)):
+            assert (r.fidelity, r.inner_iterations_total, r.outer_rounds, r.restarts_used,
+                    r.converged) == (res.fidelity, res.inner_iterations_total,
+                                     res.outer_rounds, res.restarts_used, res.converged)
+        assert second.restarts_used == first.restarts_used + 1
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
@@ -171,4 +188,4 @@ class TestMain:
     def test_nan_tolerance_is_an_error(self, capsys):
         rc = q.cli.main(["--tol", "nan", "--steps", "2", "--modes", "nocoding"])
         assert rc == 1
-        assert "tolerances must be positive" in capsys.readouterr().err
+        assert "outer_tol must be positive" in capsys.readouterr().err

@@ -12,9 +12,9 @@ from dense import fidelity_operator_encoding
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import (LEUNG_RESTART_INDEX, MULTISTART_BATCH, SEESAW_KAPPA,
-                                 _encoding_operators, _lowdin, _multistarts, _pad,
-                                 _power_batch, _recovery_operators, _renormalize,
+from seesawqec.optimizer import (INNER_TOL, LEUNG_RESTART_INDEX, MULTISTART_BATCH,
+                                 SEESAW_KAPPA, _encoding_operators, _lowdin, _multistarts,
+                                 _pad, _power_batch, _recovery_operators, _renormalize,
                                  _seed_isometries, _starts)
 
 
@@ -36,7 +36,7 @@ def reference_fidelity(x, ks):
     return float(np.real(np.sum(w.conj() * (x @ w))))
 
 
-def plain_reference_half(x, ks, opts, tol=1e-9):
+def plain_reference_half(x, ks, tol=1e-9):
     """One half-problem at a time, plain power step: the loop the kernel replaced.
 
     Returns (best Kraus stack, best fidelity, iterations, converged).
@@ -45,19 +45,19 @@ def plain_reference_half(x, ks, opts, tol=1e-9):
     best_ks, best_f = ks, f_prev
     converged = False
     iters = 0
-    for _ in range(opts.max_inner_iters):
+    for _ in range(q.optimizer.MAX_INNER_ITERS):
         w = x @ ks.reshape(ks.shape[0], -1).conj().T
         cand = reference_renormalize(w.conj().T.reshape(ks.shape), tol)
         iters += 1
         if cand is None:
             break
         f_new = reference_fidelity(x, cand)
-        if f_new < f_prev - opts.inner_tol:
+        if f_new < f_prev - INNER_TOL:
             break
         ks = cand
         if f_new > best_f:
             best_ks, best_f = cand, f_new
-        if abs(f_new - f_prev) < opts.inner_tol:
+        if abs(f_new - f_prev) < INNER_TOL:
             converged = True
             break
         f_prev = f_new
@@ -71,25 +71,24 @@ def reference_step(x, ks, tol):
     return cand, (None if cand is None else reference_fidelity(x, cand))
 
 
-def reference_half(x, ks, opts, tol=1e-9, fallbacks=None, stop_tol=None):
+def reference_half(x, ks, tol=1e-9, fallbacks=None, stop_tol=INNER_TOL):
     """One half-problem at a time with the kernel's rule: the power step from
     Y = K_t + k/(k+3) (K_t - K_{t-1}), kept if complete and not lower,
     else the plain step from K_t with k reset to 0.  It stops when an
-    accepted step changes the fidelity by less than ``stop_tol``
-    (``opts.inner_tol`` if None).
+    accepted step changes the fidelity by less than ``stop_tol``, or
+    after ``MAX_INNER_ITERS`` steps (read at call time, so a test can
+    lower it).
 
     Returns (best Kraus stack, best fidelity, iterations, converged); the
     steps that fell back are appended to ``fallbacks`` if given.
     """
-    if stop_tol is None:
-        stop_tol = opts.inner_tol
     f_prev = reference_fidelity(x, ks)
     best_ks, best_f = ks, f_prev
     ks_prev = ks
     converged = False
     iters = 0
     k = 0
-    for _ in range(opts.max_inner_iters):
+    for _ in range(q.optimizer.MAX_INNER_ITERS):
         iters += 1
         cand, f_new = reference_step(x, ks + k / (k + 3) * (ks - ks_prev), tol)
         if k > 0 and (cand is None or f_new < f_prev):
@@ -97,7 +96,7 @@ def reference_half(x, ks, opts, tol=1e-9, fallbacks=None, stop_tol=None):
                 fallbacks.append(iters)
             cand, f_new = reference_step(x, ks, tol)
             k = 0
-        if cand is None or f_new < f_prev - opts.inner_tol:
+        if cand is None or f_new < f_prev - INNER_TOL:
             break
         ks_prev, ks, k = ks, cand, k + 1
         if f_new > best_f:
@@ -109,20 +108,20 @@ def reference_half(x, ks, opts, tol=1e-9, fallbacks=None, stop_tol=None):
     return best_ks, best_f, iters, converged
 
 
-def floor(opts, b=1):
-    """The stop tolerance ``opts.inner_tol`` for each of b members."""
-    return np.full(b, opts.inner_tol)
+def floor(b=1):
+    """The stop tolerance ``INNER_TOL`` for each of b members."""
+    return np.full(b, INNER_TOL)
 
 
-def one_member(x, ks, opts, tol):
+def one_member(x, ks, tol):
     """The kernel on a batch of one: (best Kraus stack, fidelity, iterations, converged)."""
-    best, f, iters, conv = _power_batch(x[None], ks[None], opts, tol, floor(opts))
+    best, f, iters, conv = _power_batch(x[None], ks[None], tol, floor())
     return best[0], float(f[0]), int(iters[0]), bool(conv[0])
 
 
-def one_problem(encoder, noise, opts, rng_seed, extra_starts=()):
+def one_problem(encoder, noise, rng_seed, extra_starts=()):
     """The recovery multistart of one problem, passed alone."""
-    return q.optimize_recovery_multistarts(encoder, [noise], rng_seed, opts, extra_starts)[0]
+    return _multistarts([_starts(encoder, noise, rng_seed, extra_starts)])[0]
 
 
 def identity_objective(d):
@@ -155,13 +154,14 @@ class TestKernelAgainstReference:
                                                        np.random.default_rng(1)).kraus)),
             ("normal", ident, np.stack(q.random_isometry(2, 2, 77).as_channel().kraus)),
         ]
-        opts = q.SolveOptions(max_inner_iters=self.CAP)
         ks, counts = _pad([m[2] for m in members])
-        out = _power_batch(np.stack([m[1] for m in members]), ks, opts, 1e-9,
-                           floor(opts, len(members)))
         fallbacks = {name: [] for name, _, _ in members}
-        refs = [reference_half(x, k, opts, fallbacks=fallbacks[name])
-                for name, x, k in members]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(q.optimizer, "MAX_INNER_ITERS", self.CAP)
+            out = _power_batch(np.stack([m[1] for m in members]), ks, 1e-9,
+                               floor(len(members)))
+            refs = [reference_half(x, k, fallbacks=fallbacks[name])
+                    for name, x, k in members]
         return members, counts, out, refs, fallbacks
 
     def test_fidelity_and_stop_match_reference(self, batch):
@@ -197,13 +197,12 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5])
     def test_fewer_steps_to_at_least_the_plain_optimum(self, gamma):
-        opts = q.SolveOptions(seed=7)
-        seed = opts.seed + LEUNG_RESTART_INDEX
+        seed = 7 + LEUNG_RESTART_INDEX
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        res = one_problem(q.leung_encoder(), noise, opts, seed)
+        res = q.optimize_recovery_multistarts(q.leung_encoder(), [noise], seed)[0]
         x, starts = _starts(q.leung_encoder(), noise, seed, ())
         assert len(starts) == 3
-        plain = [plain_reference_half(x, ks, opts) for ks in starts]
+        plain = [plain_reference_half(x, ks) for ks in starts]
         assert res.fidelity >= max(p[1] for p in plain) - 1e-12
         assert 5 * res.iterations <= sum(p[2] for p in plain)
 
@@ -215,34 +214,33 @@ class TestStopTolerance:
 
     @pytest.fixture(scope="class")
     def members(self):
-        opts = q.SolveOptions(seed=7)
         problems = []
         for gamma in (0.2, 0.5):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
             xg, sg = _starts(q.leung_encoder(), noise, 8, ())
             problems.append((xg, sg[1:]))
         ks, _ = _pad([s for _, sg in problems for s in sg])
-        return opts, np.stack([xg for xg, sg in problems for _ in sg]), ks, problems
+        return np.stack([xg for xg, sg in problems for _ in sg]), ks, problems
 
     def test_mixed_batch_equals_one_member_calls(self, members):
-        opts, x, ks, _ = members
+        x, ks, _ = members
         tols = np.array(self.TOLS)
-        best, f, iters, conv = _power_batch(x, ks, opts, 1e-9, tols)
+        best, f, iters, conv = _power_batch(x, ks, 1e-9, tols)
         for b, tol in enumerate(tols):
-            best1, f1, it1, conv1 = _power_batch(x[b:b + 1], ks[b:b + 1], opts, 1e-9,
+            best1, f1, it1, conv1 = _power_batch(x[b:b + 1], ks[b:b + 1], 1e-9,
                                                  tols[b:b + 1])
             assert f[b] == f1[0] and (iters[b], conv[b]) == (it1[0], conv1[0]), tol
             np.testing.assert_array_equal(best[b], best1[0])
-            ref = reference_half(x[b], ks[b], opts, stop_tol=tol)
+            ref = reference_half(x[b], ks[b], stop_tol=tol)
             assert abs(f[b] - ref[1]) < 1e-10 and (iters[b], conv[b]) == ref[2:], tol
 
     def test_looser_tolerance_stops_sooner_and_the_default_is_inner_tol(self, members):
         # The multistart, the kernel's one caller without tolerances of
-        # its own, stops every member at inner_tol.
-        opts, x, ks, problems = members
-        _, f, iters, _ = _power_batch(x, ks, opts, 1e-9, np.array(self.TOLS))
-        at_floor = _power_batch(x, ks, opts, 1e-9, floor(opts, len(x)))
-        for p, res in enumerate(_multistarts(problems, opts)):
+        # its own, stops every member at INNER_TOL.
+        x, ks, problems = members
+        _, f, iters, _ = _power_batch(x, ks, 1e-9, np.array(self.TOLS))
+        at_floor = _power_batch(x, ks, 1e-9, floor(len(x)))
+        for p, res in enumerate(_multistarts(problems)):
             fp = at_floor[1][2 * p:2 * p + 2]
             assert res.fidelity == fp[int(fp[1] > fp[0] + 1e-12)]
             assert res.iterations == at_floor[2][2 * p:2 * p + 2].sum()
@@ -281,9 +279,8 @@ class TestRenormalizeRedo:
         # renormalization of the start itself.
         ks = conditioned_stack(1e5).reshape(16, 2, 2)
         x = np.eye(4, dtype=complex)
-        opts = q.SolveOptions()
-        assert reference_half(x, ks, opts)[1:] == (reference_fidelity(x, ks), 1, False)
-        best, f, iters, conv = _power_batch(x[None], ks[None], opts, 1e-9, floor(opts))
+        assert reference_half(x, ks)[1:] == (reference_fidelity(x, ks), 1, False)
+        best, f, iters, conv = _power_batch(x[None], ks[None], 1e-9, floor())
         assert abs(f[0] - 2.0) < 1e-12 and conv[0] and iters[0] == 2
         assert_complete(best[0])
 
@@ -303,10 +300,10 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
     at E_y = polar(E' + k/(k+3) (E' - E'_prev)) (E' itself when k = 0 or
     the polar step fails); if that ends below f_e, the recovery half is
     redone at E' and k is reset to 0.  Every half of a round stops at
-    max(inner_tol, SEESAW_KAPPA * g), with g the restart's gain over its
+    max(INNER_TOL, SEESAW_KAPPA * g), with g the restart's gain over its
     previous round (0 in the first round), and a round that gains less
     than ``outer_tol`` ends the restart as converged only if it ran at
-    inner_tol.  The halves are :func:`reference_half` on the unpadded
+    INNER_TOL.  The halves are :func:`reference_half` on the unpadded
     stacks.  Returns (trace, converged); the rounds that fell back are
     appended to ``fallbacks``.
     """
@@ -314,20 +311,20 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
     enc, e_prev, k, gain = iso.v, None, 0, 0.0
     rec = np.stack(rec.kraus)
     while True:
-        tol = max(opts.inner_tol, SEESAW_KAPPA * gain)
+        tol = max(INNER_TOL, SEESAW_KAPPA * gain)
         y = fidelity_operator_encoding(q.Channel(list(rec)), noise)
-        e_ks, f_e, _, _ = reference_half(y, enc[None], opts, ISOMETRY_TOL, stop_tol=tol)
+        e_ks, f_e, _, _ = reference_half(y, enc[None], ISOMETRY_TOL, stop_tol=tol)
         e = e_y = e_ks[0]
         if k > 0:
             p = reference_polar(e + k / (k + 3) * (e - e_prev))
             if p is not None:
                 e_y = p
         x = q.fidelity_operator_recovery(q.Channel([e_y]), noise)
-        rec_new, f_r, _, _ = reference_half(x, rec, opts, stop_tol=tol)
+        rec_new, f_r, _, _ = reference_half(x, rec, stop_tol=tol)
         if e_y is not e and f_r < f_e:
             fallbacks.append(len(trace) // 2 + 1)
             x = q.fidelity_operator_recovery(q.Channel([e]), noise)
-            rec_new, f_r, _, _ = reference_half(x, rec, opts, stop_tol=tol)
+            rec_new, f_r, _, _ = reference_half(x, rec, stop_tol=tol)
             e_y, k = e, 0
         else:
             k += 1
@@ -335,14 +332,14 @@ def reference_restart(noise, iso, rec, f0, opts, fallbacks):
         trace.append(max(f_r, trace[-1]))
         enc, e_prev, rec = e_y, e, rec_new
         gain = trace[-1] - trace[-3]
-        if gain < opts.outer_tol and tol == opts.inner_tol:
+        if gain < opts.outer_tol and tol == INNER_TOL:
             return trace, True
         if len(trace) // 2 == opts.max_outer_rounds:
             return trace, False
 
 
 def exact_reference_restart(noise, iso, rec, f0, opts):
-    """:func:`reference_restart` with every half solved to ``inner_tol``.
+    """:func:`reference_restart` with every half solved to ``INNER_TOL``.
 
     The halves are the kernel on one member, and a round that gains less
     than ``outer_tol`` ends the restart.  Returns (trace, converged, inner
@@ -353,7 +350,7 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
     rec = np.stack(rec.kraus)
     while True:
         y = fidelity_operator_encoding(q.Channel(list(rec)), noise)
-        e_ks, f_e, it, _ = one_member(y, enc[None], opts, ISOMETRY_TOL)
+        e_ks, f_e, it, _ = one_member(y, enc[None], ISOMETRY_TOL)
         iters += it
         e = e_y = e_ks[0]
         if k > 0:
@@ -361,11 +358,11 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
             if p is not None:
                 e_y = p
         x = q.fidelity_operator_recovery(q.Channel([e_y]), noise)
-        rec_new, f_r, it, _ = one_member(x, rec, opts, COMPLETENESS_TOL)
+        rec_new, f_r, it, _ = one_member(x, rec, COMPLETENESS_TOL)
         iters += it
         if e_y is not e and f_r < f_e:
             x = q.fidelity_operator_recovery(q.Channel([e]), noise)
-            rec_new, f_r, it, _ = one_member(x, rec, opts, COMPLETENESS_TOL)
+            rec_new, f_r, it, _ = one_member(x, rec, COMPLETENESS_TOL)
             iters += it
             e_y, k = e, 0
         else:
@@ -384,7 +381,7 @@ def seesaw_starts(noise, n, opts):
     out = []
     for idx, (name, iso) in enumerate(_seed_isometries(n, opts, ())):
         extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
-        out.append((iso, one_problem(iso, noise, opts, opts.seed + idx, extra)))
+        out.append((iso, one_problem(iso, noise, opts.seed + idx, extra)))
     return out
 
 
@@ -426,8 +423,8 @@ class TestExtrapolatedSeesaw:
     @pytest.mark.parametrize("gamma", [0.2, 0.55])
     def test_no_restart_stops_after_a_loose_round(self, gamma):
         # Each restart that stops before the cap stops on a round that
-        # gained less than outer_tol and ran at the floor inner_tol, that
-        # is, after a round that gained at most inner_tol / SEESAW_KAPPA.
+        # gained less than outer_tol and ran at the floor INNER_TOL, that
+        # is, after a round that gained at most INNER_TOL / SEESAW_KAPPA.
         opts = q.SolveOptions(seed=7)
         res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
         stopped = [t for t in res.restart_traces
@@ -436,7 +433,7 @@ class TestExtrapolatedSeesaw:
         for trace in stopped:
             gains = [0.0] + [b - a for a, b in zip(trace[:-2:2], trace[2::2])]
             assert gains[-1] < opts.outer_tol
-            assert SEESAW_KAPPA * gains[-2] <= opts.inner_tol
+            assert SEESAW_KAPPA * gains[-2] <= INNER_TOL
 
     def test_cold_start_converges_above_the_plain_capped_value(self):
         # The plain alternation stopped every non-trivial restart at the
@@ -455,7 +452,7 @@ class TestLockstepSeesaw:
         big = q.seesaw(noise, 4, opts)
         assert small.restart_traces == big.restart_traces[:3]
         # Seeded dominance of the fixed-code curve rests on this equality.
-        alone = one_problem(q.leung_encoder(), q.tensor_power(noise, 4), opts,
+        alone = one_problem(q.leung_encoder(), q.tensor_power(noise, 4),
                             opts.seed + LEUNG_RESTART_INDEX)
         assert big.restart_traces[LEUNG_RESTART_INDEX][0] == alone.fidelity
 
@@ -472,19 +469,12 @@ class TestLockstepSeesaw:
         f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
         assert abs(f - res.fidelity) < 1e-9
 
-    def test_multistart_rejects_a_start_of_the_wrong_shape(self):
-        noise = q.tensor_power(q.amplitude_damping(0.2), 4)
-        with pytest.raises(ValueError, match="does not match"):
-            one_problem(q.leung_encoder(), noise, q.SolveOptions(), 1,
-                        extra_starts=[q.identity_channel(2)])
-
 
 class TestBatchedMultistart:
     """Several recovery multistarts in one call against one call each."""
 
     @pytest.fixture(scope="class")
     def problems(self):
-        opts = q.SolveOptions(seed=7)
         leung = q.leung_encoder()
 
         def noise(gamma):
@@ -499,15 +489,14 @@ class TestBatchedMultistart:
         # A complex problem between real ones ends their batch.
         problems.insert(5, (q.random_isometry(2, 16, 5), noise(0.3), 9, ()))
         assert len(problems) > MULTISTART_BATCH
-        return opts, problems
+        return problems
 
     def test_each_result_equals_its_one_problem_call(self, problems):
-        opts, problems = problems
-        batched = _multistarts((_starts(enc, noise, seed, extra)
-                                for enc, noise, seed, extra in problems), opts)
+        batched = _multistarts(_starts(enc, noise, seed, extra)
+                               for enc, noise, seed, extra in problems)
         assert len(batched) == len(problems)
         for (enc, noise, seed, extra), res in zip(problems, batched):
-            alone = one_problem(enc, noise, opts, seed, extra)
+            alone = one_problem(enc, noise, seed, extra)
             assert res.fidelity == alone.fidelity
             assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
             assert len(res.channel.kraus) == len(alone.channel.kraus)
@@ -526,7 +515,7 @@ class TestBatchedMultistart:
             else:
                 res = one_problem(
                     q.leung_encoder(), q.tensor_power(q.amplitude_damping(r.gamma), 4),
-                    opts, opts.seed + LEUNG_RESTART_INDEX)
+                    opts.seed + LEUNG_RESTART_INDEX)
                 expect = (res.fidelity, res.iterations, 1, 1, res.converged)
             assert (r.fidelity, r.inner_iterations_total, r.outer_rounds,
                     r.restarts_used, r.converged) == expect, r.gamma
@@ -601,49 +590,44 @@ class TestSharedStarts:
 
     def test_each_call_builds_its_own_starts(self, monkeypatch):
         calls = count_start_builds(monkeypatch)
-        opts = q.SolveOptions(seed=7)
         leung = q.leung_encoder()
         noises = [q.tensor_power(q.amplitude_damping(g), 4) for g in (0.3, 0.5)]
-        first = q.optimize_recovery_multistarts(leung, noises, 8, opts)
-        again = q.optimize_recovery_multistarts(leung, noises, 8, opts)
+        first = q.optimize_recovery_multistarts(leung, noises, 8)
+        again = q.optimize_recovery_multistarts(leung, noises, 8)
         assert calls == {"random_cptp": 4, "reversal_recovery": 2}
         assert [(r.fidelity, r.iterations) for r in first] == \
             [(r.fidelity, r.iterations) for r in again]
-        other = q.optimize_recovery_multistarts(leung, noises[:1], 9, opts,
-                                                [q.partial_trace_recovery(4)])[0]
+        other = q.optimize_recovery_multistarts(leung, noises[:1], 9)[0]
         assert calls == {"random_cptp": 6, "reversal_recovery": 3}
-        alone = one_problem(leung, noises[0], opts, 9, [q.partial_trace_recovery(4)])
+        alone = one_problem(leung, noises[0], 9)
         assert (other.fidelity, other.iterations) == (alone.fidelity, alone.iterations)
 
     def test_later_noise_channels_run_from_the_first_ones_starts(self):
         # A complex noise channel after a real one keeps the real start set
         # and runs in complex128.
-        opts = q.SolveOptions(seed=7)
         enc = q.trivial_embedding(2)
         real = q.tensor_power(q.amplitude_damping(0.3), 2)
         cplx = q.random_cptp(4, 4, 2, np.random.default_rng(3))
-        out = q.optimize_recovery_multistarts(enc, iter([real, cplx]), 8, opts)
+        out = q.optimize_recovery_multistarts(enc, iter([real, cplx]), 8)
         x, starts = _starts(enc, real, 8, ())
         assert x.dtype == np.float64
         assert out[0].channel.kraus[0].dtype == np.float64
         assert out[1].channel.kraus[0].dtype == np.complex128
         x2 = q.fidelity_operator_recovery(enc.as_channel(), cplx)
-        ref = _multistarts([(x2, starts)], opts)[0]
+        ref = _multistarts([(x2, starts)])[0]
         assert (out[1].fidelity, out[1].iterations) == (ref.fidelity, ref.iterations)
 
     def test_rejects_noise_channels_of_another_output_dim(self):
         noises = [q.tensor_power(q.amplitude_damping(0.3), 2),
                   q.random_cptp(4, 2, 2, np.random.default_rng(3))]
         with pytest.raises(ValueError, match="differs from the first"):
-            q.optimize_recovery_multistarts(q.trivial_embedding(2), noises, 8,
-                                            q.SolveOptions())
+            q.optimize_recovery_multistarts(q.trivial_embedding(2), noises, 8)
 
 
 class TestRealField:
     """Real-valued recovery problems run in float64, complex ones in complex128."""
 
     def test_fixed_code_starts_are_real_and_random_encoder_starts_complex(self):
-        opts = q.SolveOptions(seed=7)
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
         for enc, extra in [(q.leung_encoder(), ()),
                            (q.trivial_embedding(4), [q.partial_trace_recovery(4)])]:
@@ -654,7 +638,6 @@ class TestRealField:
         assert all(np.any(a.imag) for a in (x, *starts))
 
     def test_real_batch_agrees_with_the_same_batch_in_complex128(self):
-        opts = q.SolveOptions(seed=7)
         xs, stacks = [], []
         for gamma in (0.1, 0.2, 0.3, 0.6):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
@@ -662,9 +645,8 @@ class TestRealField:
             xs += [x] * len(starts)
             stacks += starts
         x, (ks, _) = np.stack(xs), _pad(stacks)
-        real = _power_batch(x, ks, opts, 1e-9, floor(opts, len(x)))
-        cplx = _power_batch(x.astype(complex), ks.astype(complex), opts, 1e-9,
-                            floor(opts, len(x)))
+        real = _power_batch(x, ks, 1e-9, floor(len(x)))
+        cplx = _power_batch(x.astype(complex), ks.astype(complex), 1e-9, floor(len(x)))
         assert (real[0].dtype, cplx[0].dtype) == (np.float64, np.complex128)
         np.testing.assert_allclose(real[1], cplx[1], rtol=0, atol=1e-9)
         for a, b in zip(real[2:], cplx[2:]):
@@ -673,14 +655,13 @@ class TestRealField:
     def test_a_real_start_meets_a_complex_operator(self):
         # The kernel works in the operator's field, so no complex iterate is
         # truncated into the real start's array.
-        opts = q.SolveOptions(seed=7)
         noise = q.tensor_power(q.amplitude_damping(0.3), 2)
         x = q.fidelity_operator_recovery(q.random_isometry(2, 4, 5).as_channel(), noise)
         start = q.random_cptp(4, 2, 4, np.random.default_rng(1), real=True)
         ks = np.stack(start.kraus)
         assert ks.dtype == np.float64 and np.any(x.imag)
-        res = one_member(x, ks, opts, COMPLETENESS_TOL)
-        ref = one_member(x, ks.astype(complex), opts, COMPLETENESS_TOL)
+        res = one_member(x, ks, COMPLETENESS_TOL)
+        ref = one_member(x, ks.astype(complex), COMPLETENESS_TOL)
         assert res[0].dtype == np.complex128
         assert res[1:3] == ref[1:3]
         np.testing.assert_array_equal(res[0], ref[0])

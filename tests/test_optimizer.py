@@ -9,7 +9,7 @@ from dense import fidelity_operator_encoding
 from oracle import oracle_optimize
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.codes import ISOMETRY_TOL
-from seesawqec.optimizer import LEUNG_RESTART_INDEX, _fidelities, _power_batch
+from seesawqec.optimizer import INNER_TOL, LEUNG_RESTART_INDEX, _fidelities, _power_batch
 
 
 def random_channel(d_in, d_out, rank, seed):
@@ -26,23 +26,23 @@ def quadratic_fidelity(x, c):
     return float(_fidelities(v, v @ x)[0])
 
 
-def optimize_half(x, initial, opts):
+def optimize_half(x, initial):
     """The kernel on one recovery-style member: (channel, fidelity, iterations, converged)."""
-    best, f, iters, conv = _power_batch(x[None], np.stack(initial.kraus)[None], opts,
-                                        COMPLETENESS_TOL, np.array([opts.inner_tol]))
+    best, f, iters, conv = _power_batch(x[None], np.stack(initial.kraus)[None],
+                                        COMPLETENESS_TOL, np.array([INNER_TOL]))
     return q.Channel(list(best[0])), float(f[0]), int(iters[0]), bool(conv[0])
 
 
-def optimize_isometry(y, initial, opts):
+def optimize_isometry(y, initial):
     """The kernel on one encoder member of a single Kraus operator."""
-    best, f, iters, conv = _power_batch(y[None], initial.v[None, None], opts, ISOMETRY_TOL,
-                                        np.array([opts.inner_tol]))
+    best, f, iters, conv = _power_batch(y[None], initial.v[None, None], ISOMETRY_TOL,
+                                        np.array([INNER_TOL]))
     return q.Isometry(best[0, 0]), float(f[0]), int(iters[0]), bool(conv[0])
 
 
-def fixed_code_recovery(noise, opts, rng_seed):
+def fixed_code_recovery(noise, rng_seed):
     """The fixed-code curve's multistart at one noise channel."""
-    return q.optimize_recovery_multistarts(q.leung_encoder(), [noise], rng_seed, opts)[0]
+    return q.optimize_recovery_multistarts(q.leung_encoder(), [noise], rng_seed)[0]
 
 
 class TestFidelityOperators:
@@ -106,7 +106,7 @@ class TestOptimizeHalf:
         d = 3
         x = identity_objective(d)
         initial = q.random_isometry(d, d, 77).as_channel()
-        channel, f, _, _ = optimize_half(x, initial, q.SolveOptions())
+        channel, f, _, _ = optimize_half(x, initial)
         assert abs(f - 1.0) < 1e-9
         u = channel.kraus[0]
         assert abs(abs(np.trace(u)) - d) < 1e-6
@@ -114,9 +114,8 @@ class TestOptimizeHalf:
     def test_fixed_point_unchanged(self):
         d = 2
         x = identity_objective(d)
-        opts = q.SolveOptions()
-        _, f, _, _ = optimize_half(x, q.identity_channel(d), opts)
-        assert abs(f - 1.0) < opts.inner_tol
+        _, f, _, _ = optimize_half(x, q.identity_channel(d))
+        assert abs(f - 1.0) < INNER_TOL
 
     def test_never_below_start(self):
         noise = q.tensor_power(q.amplitude_damping(0.25), 2)
@@ -124,14 +123,14 @@ class TestOptimizeHalf:
         x = q.fidelity_operator_recovery(enc, noise)
         start = random_channel(4, 2, 4, 10)
         f0 = quadratic_fidelity(x, start)
-        _, f, _, _ = optimize_half(x, start, q.SolveOptions())
+        _, f, _, _ = optimize_half(x, start)
         assert f >= f0
 
     def test_output_is_cptp(self):
         noise = q.tensor_power(q.amplitude_damping(0.4), 2)
         enc = q.random_isometry(2, 4, 11).as_channel()
         x = q.fidelity_operator_recovery(enc, noise)
-        channel, _, _, _ = optimize_half(x, random_channel(4, 2, 4, 12), q.SolveOptions())
+        channel, _, _, _ = optimize_half(x, random_channel(4, 2, 4, 12))
         s = sum(k.conj().T @ k for k in channel.kraus)
         np.testing.assert_allclose(s, np.eye(4), atol=1e-8)
 
@@ -142,7 +141,7 @@ class TestOptimizeEncodingIsometric:
         iso = q.random_isometry(2, 8, 13)
         rec = q.reversal_recovery(iso)
         y = fidelity_operator_encoding(rec, noise)
-        out, f, _, _ = optimize_isometry(y, iso, q.SolveOptions())
+        out, f, _, _ = optimize_isometry(y, iso)
         assert f >= 1.0 - 1e-10
         dev = np.max(np.abs(out.v.conj().T @ out.v - np.eye(2)))
         assert dev < 1e-10
@@ -154,8 +153,8 @@ class TestOptimizeEncodingIsometric:
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
         y = fidelity_operator_encoding(res.recovery, noise)
         assert res.encoder_isometry is not None
-        _, f, _, _ = optimize_isometry(y, res.encoder_isometry, opts)
-        assert f >= res.fidelity - opts.inner_tol
+        _, f, _, _ = optimize_isometry(y, res.encoder_isometry)
+        assert f >= res.fidelity - INNER_TOL
 
 
 class TestOracle:
@@ -165,10 +164,9 @@ class TestOracle:
 
     def test_agrees_with_power_step_on_fixed_code_recovery(self):
         gamma = 0.2
-        opts = q.SolveOptions()
         enc = q.leung_encoder()
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        res = fixed_code_recovery(noise, opts, rng_seed=0)
+        res = fixed_code_recovery(noise, rng_seed=0)
         x = q.fidelity_operator_recovery(enc.as_channel(), noise)
         orc = oracle_optimize(x, (2, 16), iters=800)
         assert abs(res.fidelity - orc) < 1e-6
@@ -222,7 +220,7 @@ class TestSeesaw:
         gamma = 0.2
         opts = q.SolveOptions(seed=7)
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        leung = fixed_code_recovery(noise, opts, opts.seed + LEUNG_RESTART_INDEX)
+        leung = fixed_code_recovery(noise, opts.seed + LEUNG_RESTART_INDEX)
         res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
         # margin recorded at build time: ~6e-3 for this seed
         assert res.fidelity > leung.fidelity + 10 * opts.outer_tol
@@ -231,7 +229,7 @@ class TestSeesaw:
         gamma = 0.35
         opts = q.SolveOptions(seed=5, restarts=3, max_outer_rounds=40)
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        leung = fixed_code_recovery(noise, opts, opts.seed + LEUNG_RESTART_INDEX).fidelity
+        leung = fixed_code_recovery(noise, opts.seed + LEUNG_RESTART_INDEX).fidelity
         bare = q.channel_fidelity(q.amplitude_damping(gamma))
         res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
         assert res.fidelity >= max(bare, leung) - 1e-9
@@ -291,9 +289,9 @@ class TestSeesaw:
 class TestSolveOptions:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError, match="positive"):
-            q.SolveOptions(inner_tol=0.0)
+            q.SolveOptions(outer_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["inner_tol", "outer_tol"])
+    @pytest.mark.parametrize("field", ["outer_tol"])
     def test_rejects_nan_tolerances(self, field):
         with pytest.raises(ValueError, match="positive"):
             q.SolveOptions(**{field: float("nan")})
@@ -303,9 +301,8 @@ class TestSolveOptions:
             q.SolveOptions(restarts=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_inner_iters", 2.5), ("max_outer_rounds", 1.5), ("restarts", 2.5),
-        ("seed", 7.0), ("restarts", True),
-        ("max_inner_iters", "10")])
+        ("max_outer_rounds", 1.5), ("restarts", 2.5), ("seed", 7.0), ("restarts", True),
+        ("max_outer_rounds", "10")])
     def test_rejects_non_integer_limits(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             q.SolveOptions(**{field: value})
