@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -155,10 +155,11 @@ class SeesawResult:
     converged: bool
     best_restart_seed: int
     encoder_isometry: Isometry
-    inner_iterations_total: int = 0
-    outer_rounds: int = 0
-    # accepted-fidelity trace of every restart, best one included
-    restart_traces: Optional[List[List[float]]] = None
+    inner_iterations_total: int
+    outer_rounds: int
+    # Every restart's trace, the winner's included: its start's value,
+    # then each round's encoder-half and recovery-half values.
+    restart_traces: List[List[float]]
 
 
 def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
@@ -365,21 +366,13 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
 # Seesaw driver
 # ---------------------------------------------------------------------------
 
-def _seed_isometries(n: int, opts: SolveOptions,
-                     extra: Sequence[Isometry]) -> List[Tuple[str, Isometry]]:
+def _seed_isometries(n: int, opts: SolveOptions, extra: Sequence[Isometry]) -> List[Isometry]:
     # Trivial embedding first: at the fully-damped endpoint every recovery
     # ties to machine precision and the lowest restart index wins, so the
-    # exact-arithmetic no-coding restart must come first.
-    seeds: List[Tuple[str, Isometry]] = [("trivial", trivial_embedding(n))]
-    if n == 4:
-        seeds.append(("leung", leung_encoder()))
-    for j, iso in enumerate(extra):
-        seeds.append((f"warm{j}", iso))
-    j = 0
-    while len(seeds) < opts.restarts + len(extra):
-        seeds.append((f"random{j}", random_isometry(2, 2 ** n, opts.seed + 1000 + j)))
-        j += 1
-    return seeds
+    # exact-arithmetic no-coding restart must be index 0.
+    seeds = [trivial_embedding(n)] + ([leung_encoder()] if n == 4 else []) + list(extra)
+    return seeds + [random_isometry(2, 2 ** n, opts.seed + 1000 + j)
+                    for j in range(opts.restarts + len(extra) - len(seeds))]
 
 
 # Restart index of the 4-qubit-code seed inside seesaw(); the sweep's
@@ -470,6 +463,8 @@ def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
                 x = fidelity_operator_recovery(encoder.as_channel(), noise)
                 if starts[0].dtype == np.float64 and not np.any(x.imag):
                     x = x.real
+            # Not held while the generator waits for a full batch to run.
+            del noise
             yield x, starts
 
     return _multistarts(problems())
@@ -508,10 +503,11 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
            extra_seed_encoders: Sequence[Isometry] = ()) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
 
-    Restart seeds: the trivial embedding, the 4-qubit damping code (when
-    n = 4), any warm-start encoders, and seeded random isometries until
-    there are ``opts.restarts`` restarts besides the warm starts.  The
-    fixed seeds always run, so ``restarts_used`` is
+    Restart seeds, in restart order: the trivial embedding (restart 0,
+    which also starts from the partial-trace recovery), the 4-qubit
+    damping code (when n = 4), any warm-start encoders, and seeded random
+    isometries until there are ``opts.restarts`` restarts besides the
+    warm starts.  The fixed seeds always run, so ``restarts_used`` is
     max(opts.restarts, 2 if n = 4 else 1) plus the number of warm starts.
     Within each restart, recovery and encoding are optimized in turn
     until a round at the floor tolerance (below) gains less than
@@ -546,7 +542,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     from the fixed-code curve's starts), each round runs one
     encoder-half batch and one recovery-half batch over the restarts
     still going, plus one more recovery-half batch over those that fall
-    back.
+    back.  Restart i's state (encoder, recovery, last E', k, gain and
+    best pair so far) is row i of stacked arrays; a round reads and
+    writes the rows of the restarts still going, and only the traces
+    are per-restart lists.
 
     Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
@@ -567,43 +566,39 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     # Every restart's widest start has the same count (see _pad below), so
     # one batched call gives each restart its one-problem result.
     results = _multistarts(
-        (_starts(iso, noise, opts.seed + idx,
-                 [partial_trace_recovery(n)] if name == "trivial" else [])
-         for idx, (name, iso) in enumerate(seeds)))
-    starts = [np.stack(res.channel.kraus) for res in results]
+        (_starts(iso, noise, opts.seed + idx, [partial_trace_recovery(n)] if idx == 0 else [])
+         for idx, iso in enumerate(seeds)))
     traces = [[res.fidelity] for res in results]
     total_iters = sum(res.iterations for res in results)
-    # Pad every recovery to the widest start a multistart can have (the
-    # reversal's d_code - 1 operators or the random rank), so the batch
-    # shape does not depend on which restarts exist.  Arrays are never
-    # written once a round has stored them, so the state and the best
-    # snapshots can hold views into them.
-    padded, rec_count = _pad(starts, max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
-    rec = list(padded)
-    enc = [iso.v[None] for _, iso in seeds]
-    snaps = [(enc[i], rec[i], traces[i][0]) for i in range(len(seeds))]
-    f_round = [t[0] for t in traces]
-    rounds = [0] * len(seeds)
-    converged = [False] * len(seeds)
+    # Restart i is row i of every stacked array.  Recoveries are padded to
+    # the widest start a multistart can have (the reversal's d_code - 1
+    # operators or the random rank), so the batch shape does not depend on
+    # which restarts exist, and made complex, since a round's recovery half
+    # runs at a complex encoder even where every start is real.
+    rec, rec_count = _pad([np.stack(res.channel.kraus) for res in results],
+                          max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
+    rec = rec.astype(complex, copy=False)
+    enc = np.stack([iso.v for iso in seeds])[:, None]
+    best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
 
     # Per restart: the encoder half's last output E' and the number k of
     # rounds since the last fallback, which set the extrapolation below,
     # and its gain over its last round, which sets its halves' stop
-    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).
-    e_half = list(enc)
+    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).  The live restarts
+    # have all run the same number of rounds.
+    e_half = enc.copy()
     k = np.zeros(len(seeds))
     gain = np.zeros(len(seeds))
-    live = list(range(len(seeds)))
-    while live:
+    converged = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
+    for _ in range(opts.max_outer_rounds):
         stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
-        rec_start = np.stack([rec[i] for i in live])
-        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n),
-                                             np.stack([enc[i] for i in live]),
+        rec_start = rec[live]
+        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n), enc[live],
                                              ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
         kl = k[live]
-        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (
-            enc_new - np.stack([e_half[i] for i in live]))
+        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
         e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
         ext = ok & (kl > 0)
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
@@ -619,32 +614,31 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             e_y[back] = enc_new[back]
             total_iters += int(it_b.sum())
         k[live] = np.where(back, 0, kl + 1)
-        still = []
-        for pos, i in enumerate(live):
-            e_half[i] = enc_new[pos]
-            enc[i], rec[i] = e_y[pos], rec_new[pos]
-            trace = traces[i]
-            trace.append(max(float(f_e[pos]), trace[-1]))
-            trace.append(max(float(f_r[pos]), trace[-1]))
-            rounds[i] += 1
-            if trace[-1] > snaps[i][2]:
-                snaps[i] = (enc[i], rec[i], trace[-1])
-            # A small gain counts only from a round whose halves ran at the
-            # floor INNER_TOL; after a looser round, one more round decides.
-            g = trace[-1] - f_round[i]
-            if g < opts.outer_tol and stop_tol[pos] == INNER_TOL:
-                converged[i] = True
-            elif rounds[i] < opts.max_outer_rounds:
-                f_round[i], gain[i] = trace[-1], g
-                still.append(i)
-        live = still
+        e_half[live], enc[live], rec[live] = enc_new, e_y, rec_new
+        # Each trace records the round's two values, never below its last.
+        last = np.array([traces[i][-1] for i in live])
+        f_e = np.maximum(f_e, last)
+        f_r = np.maximum(f_r, f_e)
+        for i, pair in zip(live, np.column_stack((f_e, f_r)).tolist()):
+            traces[i] += pair
+        up = f_r > best_f[live]
+        best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
+        # A small gain counts only from a round whose halves ran at the
+        # floor INNER_TOL; after a looser round, one more round decides.
+        gain[live] = g = f_r - last
+        done = (g < opts.outer_tol) & (stop_tol == INNER_TOL)
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
 
-    win = _first_best([s[2] for s in snaps])
-    enc_b, rec_b, f_b = snaps[win]
+    win = _first_best(best_f)
+    # A copy, so that the result does not hold every restart's recovery.
+    recovery = Channel(list(best_rec[win, :rec_count[win]].copy()))
     return SeesawResult(
-        encoder=Channel([enc_b[0]]), recovery=Channel(list(rec_b[:rec_count[win]])),
-        fidelity=f_b, fidelity_trace=traces[win], restarts_used=len(seeds),
-        converged=converged[win], best_restart_seed=opts.seed + win,
-        encoder_isometry=Isometry(enc_b[0]),
-        inner_iterations_total=total_iters, outer_rounds=rounds[win],
+        encoder=Channel([best_enc[win, 0]]), recovery=recovery,
+        fidelity=float(best_f[win]), fidelity_trace=traces[win], restarts_used=len(seeds),
+        converged=bool(converged[win]), best_restart_seed=opts.seed + win,
+        encoder_isometry=Isometry(best_enc[win, 0]),
+        inner_iterations_total=total_iters, outer_rounds=len(traces[win]) // 2,
         restart_traces=traces)

@@ -4,6 +4,8 @@ a one-restart loop of its extrapolated round, the independence of the
 lockstep multistart and seesaw from how their batches are composed, and
 the stacked operator builds and shared starts that feed them."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -379,8 +381,8 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
 def seesaw_starts(noise, n, opts):
     """(seed isometry, initial recovery multistart) of each restart of seesaw(n)."""
     out = []
-    for idx, (name, iso) in enumerate(_seed_isometries(n, opts, ())):
-        extra = [q.partial_trace_recovery(n)] if name == "trivial" else []
+    for idx, iso in enumerate(_seed_isometries(n, opts, ())):
+        extra = [q.partial_trace_recovery(n)] if idx == 0 else []
         out.append((iso, one_problem(iso, noise, opts.seed + idx, extra)))
     return out
 
@@ -388,10 +390,13 @@ def seesaw_starts(noise, n, opts):
 class TestExtrapolatedSeesaw:
     """The lockstep seesaw against one restart at a time of its round rule."""
 
-    @pytest.mark.parametrize("gamma, rounds", [(0.3, 200), (0.2, 40)])
-    def test_restarts_match_the_one_restart_reference(self, gamma, rounds):
-        n = 3
-        opts = q.SolveOptions(seed=7, restarts=4, max_outer_rounds=rounds)
+    # n = 4 with 2 restarts runs the trivial and 4-qubit-code restarts
+    # alone, so every start is real.
+    @pytest.mark.parametrize("n, restarts, gamma, rounds", [
+        pytest.param(3, 4, 0.3, 200, id="0.3-200"), pytest.param(3, 4, 0.2, 40, id="0.2-40"),
+        pytest.param(4, 2, 0.3, 40, id="n4-real-0.3-40")])
+    def test_restarts_match_the_one_restart_reference(self, n, restarts, gamma, rounds):
+        opts = q.SolveOptions(seed=7, restarts=restarts, max_outer_rounds=rounds)
         res = q.seesaw(q.amplitude_damping(gamma), n, opts)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
         fallbacks = []
@@ -616,6 +621,24 @@ class TestSharedStarts:
         x2 = q.fidelity_operator_recovery(enc.as_channel(), cplx)
         ref = _multistarts([(x2, starts)])[0]
         assert (out[1].fidelity, out[1].iterations) == (ref.fidelity, ref.iterations)
+
+    def test_no_noise_channel_is_held_while_its_batch_runs(self, monkeypatch):
+        refs, alive = [], []
+
+        def noise(g):
+            channel = q.tensor_power(q.amplitude_damping(g), 2)
+            refs.append(weakref.ref(channel))
+            return channel
+
+        def kernel(*args, _original=q.optimizer._power_batch):
+            alive.append(sum(ref() is not None for ref in refs))
+            return _original(*args)
+
+        monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
+        gammas = np.linspace(0.05, 0.6, MULTISTART_BATCH + 2)
+        q.optimize_recovery_multistarts(q.trivial_embedding(2), map(noise, gammas), 8)
+        # One full batch, then the last two channels.
+        assert len(refs) == len(gammas) and alive == [0, 0]
 
     def test_rejects_noise_channels_of_another_output_dim(self):
         noises = [q.tensor_power(q.amplitude_damping(0.3), 2),

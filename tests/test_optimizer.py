@@ -237,7 +237,7 @@ class TestSeesaw:
     def test_monotone_traces_all_restarts(self):
         opts = q.SolveOptions(seed=2, restarts=3, max_outer_rounds=25)
         res = q.seesaw(q.amplitude_damping(0.3), 4, opts)
-        assert res.restart_traces is not None
+        assert len(res.restart_traces) == res.restarts_used
         for trace in res.restart_traces:
             assert all(b >= a for a, b in zip(trace, trace[1:]))
         assert res.fidelity == res.fidelity_trace[-1]
