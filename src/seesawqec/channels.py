@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig, partial_trace
+from .linalg import as_matrix, herm_eig
 
 COMPLETENESS_TOL = 1e-9
 CHOI_TOL = 1e-9
@@ -66,23 +66,6 @@ class ChoiMatrix:
     matrix: np.ndarray
     d_in: int
     d_out: int
-
-    def validate(self, tol: float = CHOI_TOL) -> None:
-        m = self.matrix
-        side = self.d_in * self.d_out
-        if m.shape != (side, side):
-            raise ValueError(f"Choi side {m.shape} inconsistent with dims "
-                             f"({self.d_out}, {self.d_in})")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > tol:
-            raise ValueError(f"Choi matrix not Hermitian: deviation {dev:.3e}")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -tol:
-            raise ValueError(f"Choi matrix not PSD: eigenvalue {w[0]:.3e}")
-        pt = partial_trace(m, (self.d_out, self.d_in), keep=(1,))
-        dev = np.max(np.abs(pt - np.eye(self.d_in)))
-        if dev > tol:
-            raise ValueError(f"Choi trace-preservation violated: deviation {dev:.3e}")
 
 
 def identity_channel(d: int) -> Channel:
@@ -158,21 +141,25 @@ def to_choi(c: Channel) -> ChoiMatrix:
     return ChoiMatrix(m, d_in=c.d_in, d_out=c.d_out)
 
 
-def from_choi(x: ChoiMatrix, rank_tol: float | None = None) -> Channel:
-    """Extract a Kraus decomposition from a Choi matrix.
+def from_choi(x: ChoiMatrix) -> Channel:
+    """Extract a Kraus decomposition from a Choi matrix, checking it.
 
-    Eigenvalues below ``rank_tol`` (default ``1e-12`` times the leading
-    eigenvalue) are dropped.  The roundtrip ``to_choi(from_choi(x))``
-    reproduces ``x`` within the dropped weight.
+    The side must match the dims, the matrix must be Hermitian and PSD,
+    and the Kraus set must be complete.  Eigenvalues at or below
+    ``1e-12`` times the leading eigenvalue are dropped, so the roundtrip
+    ``to_choi(from_choi(x))`` reproduces ``x`` within the dropped weight.
     """
+    side = x.d_in * x.d_out
+    if np.shape(x.matrix) != (side, side):
+        raise ValueError(f"Choi side {np.shape(x.matrix)} inconsistent with dims "
+                         f"({x.d_out}, {x.d_in})")
     w, v = herm_eig(x.matrix)
     if w[-1] < -CHOI_TOL:
         raise ValueError(f"Choi matrix not PSD: eigenvalue {w[-1]:.3e}")
-    if rank_tol is None:
-        rank_tol = 1e-12 * max(w[0], 0.0)
+    rank_floor = 1e-12 * max(w[0], 0.0)
     ops = []
     for lam, col in zip(w, v.T):
-        if lam > rank_tol:
+        if lam > rank_floor:
             ops.append(np.sqrt(lam) * col.reshape(x.d_out, x.d_in))
     if not ops:
         raise ValueError("Choi matrix has no eigenvalue above the rank tolerance")

@@ -7,13 +7,11 @@ input is computed in complex128.  Every check applies in both fields.
 Conventions that the rest of the package depends on:
 
 * ``herm_eig`` returns eigenvalues in descending order.
-* ``partial_trace`` indexes tensor factors big-endian (factor 0 is the
-  most significant index).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -46,42 +44,16 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out the tensor factors of ``m`` not listed in ``keep``.
-
-    ``dims`` are the subsystem dimensions of both the row and column
-    index.  The output side is the product of the kept dimensions, with
-    the kept factors in their original order.
-    """
-    m = as_matrix(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    side = int(np.prod(dims))
-    if m.shape[0] != m.shape[1] or m.shape[0] != side:
-        raise ValueError(f"matrix shape {m.shape} inconsistent with dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-
-    t = m.reshape(dims + dims)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=i, axis2=i + half)
-    out_side = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(out_side, out_side)
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def herm_check(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise unless every matrix of ``m`` [..., D, D] is Hermitian to ``tol``."""
+def herm_check(m: np.ndarray) -> None:
+    """Raise unless every matrix of ``m`` [..., D, D] is Hermitian to HERMITICITY_TOL."""
     dev = np.max(np.abs(m - _dagger(m)))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} "
+                         f"> {HERMITICITY_TOL:.0e}")
 
 
 def herm_eig(m) -> Tuple[np.ndarray, np.ndarray]:

@@ -139,6 +139,11 @@ class SolveOptions:
 
 @dataclass
 class HalfResult:
+    """Best start of one half-problem's multistart: that start's best
+    iterate ``channel``, its ``fidelity`` and whether it ``converged`` (stopped
+    on its tolerance, not on the step cap, a drop or a failed renormalization),
+    and the power steps of every start, summed (``iterations``)."""
+
     channel: Channel
     fidelity: float
     iterations: int
@@ -147,6 +152,16 @@ class HalfResult:
 
 @dataclass
 class SeesawResult:
+    """The winning restart of :func:`seesaw`: its best pair, ``encoder`` (one
+    Kraus operator, the matrix of ``encoder_isometry``) and ``recovery``, their
+    ``fidelity``, whether it ``converged`` on ``outer_tol`` before
+    ``max_outer_rounds``, its ``outer_rounds``, and ``best_restart_seed``,
+    ``opts.seed`` plus its index.  ``restart_traces`` holds each restart's
+    start value, then each round's encoder-half and recovery-half values; the
+    winner's is ``fidelity_trace``.  ``inner_iterations_total`` counts the
+    power steps of every restart and ``restarts_used`` the restarts run, warm
+    starts included."""
+
     encoder: Channel
     recovery: Channel
     fidelity: float
@@ -157,8 +172,6 @@ class SeesawResult:
     encoder_isometry: Isometry
     inner_iterations_total: int
     outer_rounds: int
-    # Every restart's trace, the winner's included: its start's value,
-    # then each round's encoder-half and recovery-half values.
     restart_traces: List[List[float]]
 
 
@@ -578,6 +591,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     rec, rec_count = _pad([np.stack(res.channel.kraus) for res in results],
                           max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
     rec = rec.astype(complex, copy=False)
+    del results     # their Kraus operators are views into the multistart's stacks
     enc = np.stack([iso.v for iso in seeds])[:, None]
     best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
 

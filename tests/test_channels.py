@@ -153,7 +153,7 @@ class TestChoi:
         choi = q.to_choi(c)
         np.testing.assert_allclose(choi.matrix, choi_oracle(c), atol=1e-12)
         assert abs(np.trace(choi.matrix) - 2.0) < 1e-12
-        choi.validate()
+        q.from_choi(choi)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):
@@ -170,10 +170,15 @@ class TestChoi:
         with pytest.raises(ValueError, match="PSD"):
             q.from_choi(bad)
 
-    def test_validate_catches_non_tp(self):
-        bad = q.ChoiMatrix(np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex), 2, 2)
-        with pytest.raises(ValueError, match="trace-preservation"):
-            bad.validate()
+    @pytest.mark.parametrize("matrix, match", [
+        (np.diag([2.0, 0.0, 0.0, 0.0]), "completeness"),
+        (np.eye(4) / 2 + 1e-6 * np.eye(4, k=1), "Hermitian"),
+        (np.eye(6) / 3, "inconsistent"),
+        (np.zeros((4, 4)), "rank tolerance"),
+    ], ids=["non-TP", "non-Hermitian", "wrong-side", "zero"])
+    def test_from_choi_rejects_what_is_not_a_channel(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            q.from_choi(q.ChoiMatrix(matrix.astype(complex), 2, 2))
 
 
 class TestApply:

@@ -474,6 +474,26 @@ class TestLockstepSeesaw:
         f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
         assert abs(f - res.fidelity) < 1e-9
 
+    def test_initial_multistart_results_are_released_before_the_rounds(self, monkeypatch):
+        refs, alive = [], []
+
+        def multistarts(problems, _original=q.optimizer._multistarts):
+            out = _original(problems)
+            refs.extend(weakref.ref(res) for res in out)
+            return out
+
+        def kernel(*args, _original=q.optimizer._power_batch):
+            if refs:    # a round's kernel call, after the initial multistart
+                alive.append(sum(ref() is not None for ref in refs))
+            return _original(*args)
+
+        monkeypatch.setattr(q.optimizer, "_multistarts", multistarts)
+        monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
+        opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3)
+        q.seesaw(q.amplitude_damping(0.3), 3, opts)
+        # Each round's encoder half and recovery half; no fallback here.
+        assert len(refs) == 3 and alive == [0] * 6
+
 
 class TestBatchedMultistart:
     """Several recovery multistarts in one call against one call each."""

@@ -1,4 +1,4 @@
-"""Kernel primitives checked against direct-summation oracles."""
+"""Kernel primitives checked against closed forms and identities."""
 
 import numpy as np
 import pytest
@@ -22,81 +22,6 @@ class TestMatmul:
         p[0, 1] = 0.0
         assert np.max(np.abs(p)) == 0.0
         assert abs((k0 @ k1)[0, 1] - 0.6) < 1e-15
-
-
-def partial_trace_oracle(m, dims, keep):
-    """Direct index summation, independent of the reshape-based path."""
-    keep = sorted(keep)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    kept_dims = [dims[i] for i in keep]
-    out_side = int(np.prod(kept_dims)) if keep else 1
-    out = np.zeros((out_side, out_side), dtype=complex)
-
-    def unpack(flat):
-        idx = []
-        for d in reversed(dims):
-            idx.append(flat % d)
-            flat //= d
-        return list(reversed(idx))
-
-    def pack(idx, ds):
-        flat = 0
-        for i, d in zip(idx, ds):
-            flat = flat * d + i
-        return flat
-
-    side = int(np.prod(dims))
-    for r in range(side):
-        for c in range(side):
-            ri, ci = unpack(r), unpack(c)
-            if any(ri[t] != ci[t] for t in traced):
-                continue
-            out[pack([ri[i] for i in keep], kept_dims),
-                pack([ci[i] for i in keep], kept_dims)] += m[r, c]
-    return out
-
-
-class TestPartialTrace:
-    def test_identity(self):
-        out = linalg.partial_trace(np.eye(4), (2, 2), keep={0})
-        np.testing.assert_allclose(out, 2 * np.eye(2))
-
-    def test_product_state(self):
-        rng = np.random.default_rng(3)
-        rho = rand_complex(rng, 3, 3)
-        sigma = rand_complex(rng, 2, 2)
-        out = linalg.partial_trace(np.kron(rho, sigma), (3, 2), keep={0})
-        np.testing.assert_allclose(out, np.trace(sigma) * rho, atol=1e-12)
-
-    def test_full_trace(self):
-        rng = np.random.default_rng(4)
-        m = rand_complex(rng, 6, 6)
-        out = linalg.partial_trace(m, (2, 3), keep=set())
-        assert out.shape == (1, 1)
-        np.testing.assert_allclose(out[0, 0], np.trace(m), atol=1e-12)
-
-    @pytest.mark.parametrize("dims,keep", [((2, 2), (0,)), ((2, 3), (1,)),
-                                           ((2, 2, 2), (0, 2)), ((3, 2, 2), (1,))])
-    def test_against_summation_oracle(self, dims, keep):
-        rng = np.random.default_rng(hash((dims, keep)) % 2**31)
-        side = int(np.prod(dims))
-        m = rand_complex(rng, side, side)
-        np.testing.assert_allclose(linalg.partial_trace(m, dims, keep),
-                                   partial_trace_oracle(m, dims, keep), atol=1e-12)
-
-    def test_linearity_and_trace_preservation(self):
-        rng = np.random.default_rng(5)
-        a = rand_complex(rng, 8, 8)
-        b = rand_complex(rng, 8, 8)
-        pa = linalg.partial_trace(a, (2, 2, 2), (1,))
-        pb = linalg.partial_trace(b, (2, 2, 2), (1,))
-        pab = linalg.partial_trace(0.3 * a + 0.7 * b, (2, 2, 2), (1,))
-        np.testing.assert_allclose(pab, 0.3 * pa + 0.7 * pb, atol=1e-12)
-        np.testing.assert_allclose(np.trace(pa), np.trace(a), atol=1e-12)
-
-    def test_inconsistent_dims(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            linalg.partial_trace(np.eye(4), (2, 3), keep={0})
 
 
 class TestHermEig:
@@ -195,19 +120,15 @@ class TestRealInput:
         m = g @ g.T + 0.1 * np.eye(6)
         w, v = linalg.herm_eig(m)
         r = linalg.inv_sqrt_psd(m)
-        pt = linalg.partial_trace(m, (2, 3), keep={1})
-        assert [a.dtype for a in (w, v, r, pt)] == [np.float64] * 4
+        assert [a.dtype for a in (w, v, r)] == [np.float64] * 3
         np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
         np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex)), atol=1e-12)
-        np.testing.assert_allclose(pt, linalg.partial_trace(m.astype(complex), (2, 3), {1}),
-                                   atol=1e-12)
 
     @pytest.mark.parametrize("entry, match", [(np.nan, "NaN"), (np.inf, "Inf")])
     def test_rejects_non_finite_entries(self, entry, match):
         m = np.eye(4)
         m[0, 1] = entry
-        for f in (linalg.herm_eig, linalg.inv_sqrt_psd,
-                  lambda a: linalg.partial_trace(a, (2, 2), {0})):
+        for f in (linalg.herm_eig, linalg.inv_sqrt_psd):
             with pytest.raises(ValueError, match=match):
                 f(m)
 
