@@ -68,11 +68,9 @@ def trivial_embedding(n: int) -> Isometry:
 
 def random_isometry(d_in: int, d_out: int, seed: int) -> Isometry:
     """Polar factor of a seeded complex Gaussian matrix; deterministic per seed."""
-    if d_out < d_in:
-        raise ValueError(f"need d_out >= d_in, got {d_out} < {d_in}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    return Isometry(g @ inv_sqrt_psd(g.conj().T @ g))
+    return Isometry(g @ inv_sqrt_psd(g.conj().T @ g, 1e-12))
 
 
 def reversal_recovery(iso: Isometry) -> Channel:

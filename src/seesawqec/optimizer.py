@@ -369,9 +369,8 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
     g = rng.standard_normal((rank, d_out, d_in))
     if not real:
         g = g + 1j * rng.standard_normal((rank, d_out, d_in))
-    ks, ok = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
-    if not ok[0]:
-        raise ValueError("random Kraus draw was rank deficient")
+    # A rank-deficient draw fails the Channel's completeness check.
+    ks, _ = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
     return Channel(list(ks.reshape(rank, d_out, d_in)))
 
 
@@ -464,9 +463,14 @@ def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
     call with its noise channel alone when both run in the same field, as
     every gamma of a fixed-code curve does.
     """
+    if not isinstance(encoder, Isometry):
+        raise ValueError(f"encoder must be an Isometry, got {type(encoder).__name__}")
+
     def problems():
         starts = None
         for noise in noises:
+            if not isinstance(noise, Channel):
+                raise ValueError(f"noise must be a Channel, got {type(noise).__name__}")
             if starts is None:
                 x, starts = _starts(encoder, noise, rng_seed, ())
             elif noise.d_out != starts[0].shape[2]:
@@ -562,10 +566,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
 
     Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
+    if not isinstance(noise_single, Channel):
+        raise ValueError(f"noise_single must be a Channel, got {type(noise_single).__name__}")
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     for j, iso in enumerate(extra_seed_encoders):
         if not isinstance(iso, Isometry) or iso.v.shape != (2 ** n, 2):
             shape = iso.v.shape if isinstance(iso, Isometry) else type(iso).__name__

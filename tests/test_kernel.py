@@ -289,7 +289,7 @@ class TestRenormalizeRedo:
 
 def reference_polar(y):
     """Polar factor y (y^dag y)^(-1/2), or None if it is not an isometry."""
-    p = y @ inv_sqrt_psd(y.conj().T @ y)
+    p = y @ inv_sqrt_psd(y.conj().T @ y, 1e-12)
     if np.max(np.abs(p.conj().T @ p - np.eye(y.shape[1]))) > ISOMETRY_TOL:
         return None
     return p
@@ -708,3 +708,43 @@ class TestRealField:
         assert res[0].dtype == np.complex128
         assert res[1:3] == ref[1:3]
         np.testing.assert_array_equal(res[0], ref[0])
+
+
+def without_boundary_checks(fn, *args):
+    """fn(*args) with every binding of linalg.as_matrix and linalg.herm_eig made to raise."""
+    def refuse(*_):
+        raise AssertionError("a boundary check ran inside the power step")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (q.linalg, q.channels, q.codes):
+            for name in ("as_matrix", "herm_eig"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        return fn(*args)
+
+
+class TestInnerLoopTrustsItsInputs:
+    """The power step checks nothing: its Gram matrices c^dag c are Hermitian
+    and PSD by construction, so inputs are checked once, at the public API."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
+    def test_recovery_batch(self, real):
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        x, starts = _starts(q.leung_encoder(), noise, 8, ())
+        ks, _ = _pad(starts)
+        if not real:
+            x, ks = x.astype(complex), ks.astype(complex)
+        best, f, _, _ = without_boundary_checks(_power_batch, np.stack([x] * len(ks)), ks,
+                                                COMPLETENESS_TOL, floor(len(ks)))
+        _, ok = without_boundary_checks(_renormalize, best.reshape(len(ks), -1, 16),
+                                        COMPLETENESS_TOL)
+        assert best.dtype == x.dtype and ok.all() and np.all(f > 0.88)
+
+    def test_encoder_batch(self):
+        y = np.stack([identity_objective(2)] * 2)
+        # Rotations by two angles; one step takes each to the identity.
+        ks = np.array([[[0.8, -0.6], [0.6, 0.8]], [[0.6, -0.8], [0.8, 0.6]]], dtype=complex)
+        best, f, _, _ = without_boundary_checks(_power_batch, y, ks[:, None], ISOMETRY_TOL,
+                                                floor(2))
+        _, ok = without_boundary_checks(_renormalize, best.reshape(2, 2, 2), ISOMETRY_TOL)
+        assert ok.all() and np.allclose(f, 1.0)

@@ -51,18 +51,18 @@ class TestHermEig:
 
 class TestInvSqrtPsd:
     def test_identity(self):
-        np.testing.assert_allclose(linalg.inv_sqrt_psd(np.eye(3)), np.eye(3),
+        np.testing.assert_allclose(linalg.inv_sqrt_psd(np.eye(3), 1e-12), np.eye(3),
                                    atol=1e-14)
 
     def test_diagonal(self):
-        out = linalg.inv_sqrt_psd(np.diag([4.0, 9.0]))
+        out = linalg.inv_sqrt_psd(np.diag([4.0, 9.0]), 1e-12)
         np.testing.assert_allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     def test_full_rank_inverse_property(self):
         rng = np.random.default_rng(9)
         g = rand_complex(rng, 6, 6)
         m = g @ g.conj().T + 0.1 * np.eye(6)
-        r = linalg.inv_sqrt_psd(m)
+        r = linalg.inv_sqrt_psd(m, 1e-12)
         np.testing.assert_allclose(r @ m @ r, np.eye(6), atol=1e-9)
         # Hermitian and commutes with m
         np.testing.assert_allclose(r, r.conj().T, atol=1e-10)
@@ -70,12 +70,8 @@ class TestInvSqrtPsd:
 
     def test_rank_deficient_support(self):
         m = np.diag([4.0, 0.0])
-        out = linalg.inv_sqrt_psd(m)
+        out = linalg.inv_sqrt_psd(m, 1e-12)
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="not PSD"):
-            linalg.inv_sqrt_psd(np.diag([1.0, -1e-3]))
 
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(4)
@@ -88,30 +84,11 @@ class TestInvSqrtPsd:
             np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m, e), atol=1e-12)
         np.testing.assert_allclose(out[2], np.diag([0.5, 0.0]), atol=1e-14)
 
-    def test_stack_checks_every_matrix(self):
-        ms = np.stack([np.eye(2), np.diag([1.0, -1e-3])])
-        with pytest.raises(ValueError, match="not PSD"):
-            linalg.inv_sqrt_psd(ms)
-        ms[1] = [[0.0, 1.0], [0.0, 0.0]]
-        with pytest.raises(ValueError, match="Hermitian"):
-            linalg.inv_sqrt_psd(ms)
-        ms[1] = [[np.nan, 0.0], [0.0, 1.0]]
-        with pytest.raises(ValueError, match="NaN"):
-            linalg.inv_sqrt_psd(ms)
-        with pytest.raises(ValueError, match="positive"):
-            linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, 0.0]))
-
-    def test_rejects_nan_floor(self):
-        with pytest.raises(ValueError, match="positive"):
-            linalg.inv_sqrt_psd(np.eye(2), eps=np.nan)
-        with pytest.raises(ValueError, match="positive"):
-            linalg.inv_sqrt_psd(np.stack([np.eye(2)] * 2), np.array([1e-12, np.nan]))
-
 
 class TestRealInput:
     """Float64 input stays float64, and every check still fires on it.
 
-    The Hermiticity and PSD checks on float64 input are tested above.
+    The Hermiticity check on float64 input is tested above.
     """
 
     def test_results_are_float64_and_match_the_complex_path(self):
@@ -119,20 +96,16 @@ class TestRealInput:
         g = rng.standard_normal((6, 6))
         m = g @ g.T + 0.1 * np.eye(6)
         w, v = linalg.herm_eig(m)
-        r = linalg.inv_sqrt_psd(m)
+        r = linalg.inv_sqrt_psd(m, 1e-12)
         assert [a.dtype for a in (w, v, r)] == [np.float64] * 3
         np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
-        np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex)), atol=1e-12)
+        np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex), 1e-12),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("entry, match", [(np.nan, "NaN"), (np.inf, "Inf")])
     def test_rejects_non_finite_entries(self, entry, match):
         m = np.eye(4)
         m[0, 1] = entry
-        for f in (linalg.herm_eig, linalg.inv_sqrt_psd):
-            with pytest.raises(ValueError, match=match):
-                f(m)
-
-    def test_rejects_a_zero_floor(self):
-        with pytest.raises(ValueError, match="positive"):
-            linalg.inv_sqrt_psd(np.eye(2), eps=0.0)
+        with pytest.raises(ValueError, match=match):
+            linalg.herm_eig(m)
 

@@ -285,6 +285,23 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="single-qubit"):
             q.seesaw(q.identity_channel(4), 2, q.SolveOptions())
 
+    def test_rejects_noise_that_is_not_a_channel(self):
+        kraus = q.amplitude_damping(0.3).kraus
+        with pytest.raises(ValueError, match="noise_single must be a Channel, got tuple"):
+            q.seesaw(kraus, 2, q.SolveOptions())
+
+
+class TestRecoveryMultistartsArguments:
+    def test_rejects_an_encoder_that_is_not_an_isometry(self):
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        with pytest.raises(ValueError, match="encoder must be an Isometry, got Channel"):
+            q.optimize_recovery_multistarts(q.leung_encoder().as_channel(), [noise], 8)
+
+    def test_rejects_noise_that_is_not_a_channel(self):
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        with pytest.raises(ValueError, match="noise must be a Channel, got ndarray"):
+            q.optimize_recovery_multistarts(q.leung_encoder(), [noise, noise.kraus[0]], 8)
+
 
 class TestSolveOptions:
     def test_rejects_bad_tolerances(self):
