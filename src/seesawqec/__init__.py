@@ -1,5 +1,6 @@
 """Optimization of quantum error-correcting encodings and recoveries
-for repeated uses of a noisy qubit channel."""
+for repeated uses of a noisy qubit channel.  The sweep runner and the
+console script are in :mod:`seesawqec.cli`, which is not imported here."""
 
 from .channels import (Channel, ChoiMatrix, amplitude_damping, apply,
                        channel_fidelity, compose, from_choi, identity_channel,
@@ -8,8 +9,6 @@ from .codes import (Isometry, leung_encoder, partial_trace_recovery,
                     random_isometry, reversal_recovery, trivial_embedding)
 from .optimizer import (HalfResult, SeesawResult, SolveOptions, fidelity_operator_recovery,
                         optimize_recovery_multistarts, random_cptp, seesaw)
-from .cli import (SweepConfig, SweepRecord, read_csv, run_sweep, write_csv,
-                  write_svg_plot)
 
 __all__ = [
     "Channel", "ChoiMatrix", "amplitude_damping", "apply", "channel_fidelity",
@@ -19,8 +18,6 @@ __all__ = [
     "reversal_recovery", "trivial_embedding",
     "HalfResult", "SeesawResult", "SolveOptions", "fidelity_operator_recovery",
     "optimize_recovery_multistarts", "random_cptp", "seesaw",
-    "SweepConfig", "SweepRecord", "read_csv", "run_sweep", "write_csv",
-    "write_svg_plot",
 ]
 
 __version__ = "0.1.0"

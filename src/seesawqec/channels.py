@@ -14,15 +14,16 @@ which is what the constructors below use.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig
+from .linalg import as_matrix
 
 COMPLETENESS_TOL = 1e-9
 CHOI_TOL = 1e-9
+HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,16 +145,24 @@ def to_choi(c: Channel) -> ChoiMatrix:
 def from_choi(x: ChoiMatrix) -> Channel:
     """Extract a Kraus decomposition from a Choi matrix, checking it.
 
-    The side must match the dims, the matrix must be Hermitian and PSD,
-    and the Kraus set must be complete.  Eigenvalues at or below
-    ``1e-12`` times the leading eigenvalue are dropped, so the roundtrip
-    ``to_choi(from_choi(x))`` reproduces ``x`` within the dropped weight.
+    The side must match the dims, the entries must be finite, the matrix
+    Hermitian (to ``HERMITICITY_TOL``) and PSD, and the Kraus set
+    complete.  The Kraus operators are the scaled eigenvectors, weight
+    descending; eigenvalues at or below ``1e-12`` times the leading one
+    are dropped, so the roundtrip ``to_choi(from_choi(x))`` reproduces
+    ``x`` within the dropped weight.
     """
     side = x.d_in * x.d_out
     if np.shape(x.matrix) != (side, side):
         raise ValueError(f"Choi side {np.shape(x.matrix)} inconsistent with dims "
                          f"({x.d_out}, {x.d_in})")
-    w, v = herm_eig(x.matrix)
+    m = as_matrix(x.matrix)
+    dev = np.max(np.abs(m - m.conj().T))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} "
+                         f"> {HERMITICITY_TOL:.0e}")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = w[::-1], v[:, ::-1]
     if w[-1] < -CHOI_TOL:
         raise ValueError(f"Choi matrix not PSD: eigenvalue {w[-1]:.3e}")
     rank_floor = 1e-12 * max(w[0], 0.0)

@@ -13,7 +13,6 @@ Results go to CSV (and optionally a hand-emitted SVG plot).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ class SweepConfig:
     copies: int = 4
     modes: Tuple[str, ...] = ("nocoding", "leung_optrec", "seesaw")
     options: SolveOptions = field(default_factory=SolveOptions)
-    csv_path: Optional[str] = None
-    svg_path: Optional[str] = None
 
     def __post_init__(self):
         require_integers(self, ("steps", "copies"))
@@ -117,16 +114,15 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
 def _run_seesaw(config: SweepConfig) -> List[SweepRecord]:
     opts = config.options
     out = []
-    warm: List[Isometry] = []
+    warm: Optional[Isometry] = None
     for g in _grid(config):
         t0 = time.perf_counter()
-        res = seesaw(amplitude_damping(float(g)), config.copies, opts,
-                     extra_seed_encoders=warm)
+        res = seesaw(amplitude_damping(float(g)), config.copies, opts, warm)
         out.append(SweepRecord(float(g), "seesaw", res.fidelity,
                                res.inner_iterations_total, res.outer_rounds,
                                res.restarts_used, res.converged,
                                (time.perf_counter() - t0) * 1e3))
-        warm = [res.encoder_isometry]
+        warm = res.encoder_isometry
     return out
 
 
@@ -163,21 +159,6 @@ def write_csv(records: Sequence[SweepRecord], path: str) -> None:
                          f"{r.wall_time_ms:.17g}\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv(path: str) -> List[SweepRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(SweepRecord(
-                gamma=float(row["gamma"]), mode=row["mode"],
-                fidelity=float(row["fidelity"]),
-                inner_iterations_total=int(row["inner_iterations_total"]),
-                outer_rounds=int(row["outer_rounds"]),
-                restarts_used=int(row["restarts_used"]),
-                converged=row["converged"] == "true",
-                wall_time_ms=float(row["wall_time_ms"])))
-    return out
 
 
 _STYLE = {
@@ -275,12 +256,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             gamma_min=args.gamma_min, gamma_max=args.gamma_max,
             steps=args.steps, copies=args.copies,
             modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
-            options=opts, csv_path=args.csv, svg_path=args.svg)
+            options=opts)
         records = run_sweep(config)
-        if config.csv_path:
-            write_csv(records, config.csv_path)
-        if config.svg_path:
-            write_svg_plot(records, config.svg_path)
+        if args.csv:
+            write_csv(records, args.csv)
+        if args.svg:
+            write_svg_plot(records, args.svg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

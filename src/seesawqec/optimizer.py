@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,20 +152,19 @@ class HalfResult:
 
 @dataclass
 class SeesawResult:
-    """The winning restart of :func:`seesaw`: its best pair, ``encoder`` (one
-    Kraus operator, the matrix of ``encoder_isometry``) and ``recovery``, their
-    ``fidelity``, whether it ``converged`` on ``outer_tol`` before
-    ``max_outer_rounds``, its ``outer_rounds``, and ``best_restart_seed``,
-    ``opts.seed`` plus its index.  ``restart_traces`` holds each restart's
-    start value, then each round's encoder-half and recovery-half values; the
-    winner's is ``fidelity_trace``.  ``inner_iterations_total`` counts the
-    power steps of every restart and ``restarts_used`` the restarts run, warm
-    starts included."""
+    """The winning restart of :func:`seesaw`: its best pair,
+    ``encoder_isometry`` (``encoder`` is the same map as a :class:`Channel`)
+    and ``recovery``, their ``fidelity``, whether it ``converged`` on
+    ``outer_tol`` before ``max_outer_rounds``, its ``outer_rounds``, and
+    ``best_restart_seed``, ``opts.seed`` plus its index.  ``restart_traces``
+    holds each restart's start value, then each round's encoder-half and
+    recovery-half values; the winner's is
+    ``restart_traces[best_restart_seed - opts.seed]``.
+    ``inner_iterations_total`` counts the power steps of every restart and
+    ``restarts_used`` the restarts run, the warm start included."""
 
-    encoder: Channel
     recovery: Channel
     fidelity: float
-    fidelity_trace: List[float]
     restarts_used: int
     converged: bool
     best_restart_seed: int
@@ -173,6 +172,10 @@ class SeesawResult:
     inner_iterations_total: int
     outer_rounds: int
     restart_traces: List[List[float]]
+
+    @property
+    def encoder(self) -> Channel:
+        return self.encoder_isometry.as_channel()
 
 
 def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
@@ -378,13 +381,14 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
 # Seesaw driver
 # ---------------------------------------------------------------------------
 
-def _seed_isometries(n: int, opts: SolveOptions, extra: Sequence[Isometry]) -> List[Isometry]:
+def _seed_isometries(n: int, opts: SolveOptions, warm: Optional[Isometry]) -> List[Isometry]:
     # Trivial embedding first: at the fully-damped endpoint every recovery
     # ties to machine precision and the lowest restart index wins, so the
     # exact-arithmetic no-coding restart must be index 0.
-    seeds = [trivial_embedding(n)] + ([leung_encoder()] if n == 4 else []) + list(extra)
-    return seeds + [random_isometry(2, 2 ** n, opts.seed + 1000 + j)
-                    for j in range(opts.restarts + len(extra) - len(seeds))]
+    fixed = [trivial_embedding(n)] + ([leung_encoder()] if n == 4 else [])
+    return fixed + ([] if warm is None else [warm]) + [
+        random_isometry(2, 2 ** n, opts.seed + 1000 + j)
+        for j in range(opts.restarts - len(fixed))]
 
 
 # Restart index of the 4-qubit-code seed inside seesaw(); the sweep's
@@ -517,19 +521,21 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]]) -> Lis
 
 
 def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
-           extra_seed_encoders: Sequence[Isometry] = ()) -> SeesawResult:
+           warm: Optional[Isometry] = None) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
 
     Restart seeds, in restart order: the trivial embedding (restart 0,
     which also starts from the partial-trace recovery), the 4-qubit
-    damping code (when n = 4), any warm-start encoders, and seeded random
-    isometries until there are ``opts.restarts`` restarts besides the
-    warm starts.  The fixed seeds always run, so ``restarts_used`` is
-    max(opts.restarts, 2 if n = 4 else 1) plus the number of warm starts.
-    Within each restart, recovery and encoding are optimized in turn
-    until a round at the floor tolerance (below) gains less than
-    ``outer_tol`` (converged) or ``max_outer_rounds`` is reached.  The
-    best restart wins; ties go to the lowest index.
+    damping code (when n = 4), the warm start ``warm`` if one is given
+    (one 2 -> 2^n :class:`Isometry`, such as the previous grid point's
+    winner), and seeded random isometries until there are
+    ``opts.restarts`` restarts besides the warm start.  The fixed seeds
+    always run, so ``restarts_used`` is max(opts.restarts, 2 if n = 4
+    else 1), plus 1 with a warm start.  Within each restart, recovery and
+    encoding are optimized in turn until a round at the floor tolerance
+    (below) gains less than ``outer_tol`` (converged) or
+    ``max_outer_rounds`` is reached.  The best restart wins; ties go to
+    the lowest index.
 
     The halves are solved inexactly.  In each round, every half of a
     restart (encoder, recovery and a fallback recovery) stops once an
@@ -563,22 +569,19 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     best pair so far) is row i of stacked arrays; a round reads and
     writes the rows of the restarts still going, and only the traces
     are per-restart lists.
-
-    Each warm-start encoder must be a 2 -> 2^n :class:`Isometry`.
     """
     if not isinstance(noise_single, Channel):
         raise ValueError(f"noise_single must be a Channel, got {type(noise_single).__name__}")
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
-    for j, iso in enumerate(extra_seed_encoders):
-        if not isinstance(iso, Isometry) or iso.v.shape != (2 ** n, 2):
-            shape = iso.v.shape if isinstance(iso, Isometry) else type(iso).__name__
-            raise ValueError(f"warm-start encoder {j} must be a 2 -> {2 ** n} isometry "
-                             f"for n = {n}, got {shape}")
+    if warm is not None and (not isinstance(warm, Isometry) or warm.v.shape != (2 ** n, 2)):
+        shape = warm.v.shape if isinstance(warm, Isometry) else type(warm).__name__
+        raise ValueError(f"warm start must be a 2 -> {2 ** n} isometry for n = {n}, "
+                         f"got {shape}")
 
     noise = tensor_power(noise_single, n)
     nks, a1 = np.stack(noise.kraus), np.stack(noise_single.kraus)
-    seeds = _seed_isometries(n, opts, extra_seed_encoders)
+    seeds = _seed_isometries(n, opts, warm)
 
     # Every restart's widest start has the same count (see _pad below), so
     # one batched call gives each restart its one-problem result.
@@ -654,8 +657,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     # A copy, so that the result does not hold every restart's recovery.
     recovery = Channel(list(best_rec[win, :rec_count[win]].copy()))
     return SeesawResult(
-        encoder=Channel([best_enc[win, 0]]), recovery=recovery,
-        fidelity=float(best_f[win]), fidelity_trace=traces[win], restarts_used=len(seeds),
+        recovery=recovery, fidelity=float(best_f[win]), restarts_used=len(seeds),
         converged=bool(converged[win]), best_restart_seed=opts.seed + win,
         encoder_isometry=Isometry(best_enc[win, 0]),
         inner_iterations_total=total_iters, outer_rounds=len(traces[win]) // 2,

@@ -14,6 +14,7 @@ import pytest
 
 import seesawqec as q
 from oracle import oracle_optimize
+from seesawqec.cli import SweepConfig, run_sweep, write_csv, write_svg_plot
 
 SEED = 7
 GAMMA_GRID = np.linspace(0.0, 1.0, 21)
@@ -31,22 +32,22 @@ def by_mode(records):
     return out
 
 
-def full_config(tmp_dir, tag):
-    return q.SweepConfig(
+def full_config():
+    return SweepConfig(
         gamma_min=0.0, gamma_max=1.0, steps=21, copies=4,
         modes=("nocoding", "leung_optrec", "seesaw"),
-        options=q.SolveOptions(seed=SEED, restarts=8),
-        csv_path=str(tmp_dir / f"fig1_{tag}.csv"),
-        svg_path=str(tmp_dir / f"fig1_{tag}.svg"))
+        options=q.SolveOptions(seed=SEED, restarts=8))
 
 
-def run_full(config):
+def run_full(tmp_dir, tag):
+    """((csv path, svg path), records, seconds) of one full sweep."""
+    paths = str(tmp_dir / f"fig1_{tag}.csv"), str(tmp_dir / f"fig1_{tag}.svg")
     t0 = time.perf_counter()
-    records = q.run_sweep(config)
+    records = run_sweep(full_config())
     elapsed = time.perf_counter() - t0
-    q.write_csv(records, config.csv_path)
-    q.write_svg_plot(records, config.svg_path)
-    return records, elapsed
+    write_csv(records, paths[0])
+    write_svg_plot(records, paths[1])
+    return paths, records, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -56,16 +57,12 @@ def benchmark_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def full_sweep(benchmark_dir):
-    config = full_config(benchmark_dir, "a")
-    records, elapsed = run_full(config)
-    return config, records, elapsed
+    return run_full(benchmark_dir, "a")
 
 
 @pytest.fixture(scope="module")
 def full_sweep_repeat(benchmark_dir):
-    config = full_config(benchmark_dir, "b")
-    records, elapsed = run_full(config)
-    return config, records, elapsed
+    return run_full(benchmark_dir, "b")
 
 
 def state_based_fidelity(c):
@@ -79,8 +76,8 @@ def state_based_fidelity(c):
 
 def test_criterion_1_no_coding_curve():
     t0 = time.perf_counter()
-    config = q.SweepConfig(modes=("nocoding",))
-    records = q.run_sweep(config)
+    config = SweepConfig(modes=("nocoding",))
+    records = run_sweep(config)
     elapsed = time.perf_counter() - t0
     worst = 0.0
     for r in records:
@@ -116,10 +113,10 @@ def test_criterion_3_seeded_dominance(full_sweep):
 
 
 def test_criterion_4_error_correction_scaling():
-    config = q.SweepConfig(gamma_min=0.02, gamma_max=0.1, steps=5,
-                           modes=("nocoding", "leung_optrec"),
-                           options=q.SolveOptions(seed=SEED))
-    records = q.run_sweep(config)
+    config = SweepConfig(gamma_min=0.02, gamma_max=0.1, steps=5,
+                         modes=("nocoding", "leung_optrec"),
+                         options=q.SolveOptions(seed=SEED))
+    records = run_sweep(config)
     slopes = {}
     for mode in ("leung_optrec", "nocoding"):
         pts = [(r.gamma, 1.0 - r.fidelity) for r in records if r.mode == mode]
@@ -208,16 +205,15 @@ def test_criterion_7_endpoints(full_sweep):
 
 
 def test_criterion_8_full_regeneration(full_sweep, full_sweep_repeat):
-    config_a, _, elapsed_a = full_sweep
-    config_b, _, elapsed_b = full_sweep_repeat
+    (csv_a, svg_a), _, elapsed_a = full_sweep
+    (csv_b, _), _, elapsed_b = full_sweep_repeat
 
     def rows_without_walltime(path):
         with open(path) as fh:
             return [",".join(l.split(",")[:-1]) for l in fh.read().splitlines()]
 
-    deterministic = (rows_without_walltime(config_a.csv_path)
-                     == rows_without_walltime(config_b.csv_path))
-    root = ET.parse(config_a.svg_path).getroot()
+    deterministic = rows_without_walltime(csv_a) == rows_without_walltime(csv_b)
+    root = ET.parse(svg_a).getroot()
     ns = "{http://www.w3.org/2000/svg}"
     svg_ok = len(root.findall(f".//{ns}polyline")) == 3
     ok = elapsed_a < 900.0 and elapsed_b < 900.0 and deterministic and svg_ok

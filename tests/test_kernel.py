@@ -12,6 +12,7 @@ import pytest
 import seesawqec as q
 from dense import fidelity_operator_encoding
 from seesawqec.channels import COMPLETENESS_TOL
+from seesawqec.cli import SweepConfig, run_sweep
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (INNER_TOL, LEUNG_RESTART_INDEX, MULTISTART_BATCH,
@@ -381,7 +382,7 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
 def seesaw_starts(noise, n, opts):
     """(seed isometry, initial recovery multistart) of each restart of seesaw(n)."""
     out = []
-    for idx, iso in enumerate(_seed_isometries(n, opts, ())):
+    for idx, iso in enumerate(_seed_isometries(n, opts, None)):
         extra = [q.partial_trace_recovery(n)] if idx == 0 else []
         out.append((iso, one_problem(iso, noise, opts.seed + idx, extra)))
     return out
@@ -530,9 +531,9 @@ class TestBatchedMultistart:
 
     def test_fixed_code_sweep_equals_a_loop_of_one_problem_calls(self):
         opts = q.SolveOptions(seed=7)
-        config = q.SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
-                               modes=("leung_optrec",), options=opts)
-        records = q.run_sweep(config)
+        config = SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
+                             modes=("leung_optrec",), options=opts)
+        records = run_sweep(config)
         assert len(records) == config.steps
         for r in records:
             if r.gamma == 0.0:
@@ -607,9 +608,9 @@ class TestSharedStarts:
 
     def test_fixed_code_curve_builds_its_starts_once(self, monkeypatch):
         calls = count_start_builds(monkeypatch)
-        config = q.SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
-                               modes=("leung_optrec",), options=q.SolveOptions(seed=7))
-        assert len(q.run_sweep(config)) == config.steps
+        config = SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
+                             modes=("leung_optrec",), options=q.SolveOptions(seed=7))
+        assert len(run_sweep(config)) == config.steps
         # One problem per gamma > 0 drew 2 random starts and built 1 reversal.
         assert calls == {"random_cptp": 2, "reversal_recovery": 1}
 
@@ -710,16 +711,20 @@ class TestRealField:
         np.testing.assert_array_equal(res[0], ref[0])
 
 
+# Every binding of a boundary checker: the input coercion, and from_choi,
+# which owns the Hermiticity check.
+BOUNDARY_CHECKS = [(q.linalg, "as_matrix"), (q.channels, "as_matrix"), (q.codes, "as_matrix"),
+                   (q.channels, "from_choi"), (q, "from_choi")]
+
+
 def without_boundary_checks(fn, *args):
-    """fn(*args) with every binding of linalg.as_matrix and linalg.herm_eig made to raise."""
+    """fn(*args) with every binding in BOUNDARY_CHECKS made to raise."""
     def refuse(*_):
         raise AssertionError("a boundary check ran inside the power step")
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (q.linalg, q.channels, q.codes):
-            for name in ("as_matrix", "herm_eig"):
-                if hasattr(module, name):
-                    mp.setattr(module, name, refuse)
+        for module, name in BOUNDARY_CHECKS:
+            mp.setattr(module, name, refuse)
         return fn(*args)
 
 

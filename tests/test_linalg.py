@@ -1,10 +1,12 @@
-"""Kernel primitives checked against closed forms and identities."""
+"""Kernel primitives checked against closed forms and identities, and the
+Hermitian eigendecomposition that ``from_choi`` does at the boundary."""
 
 import numpy as np
 import pytest
 
 from seesawqec import linalg
-from seesawqec.channels import amplitude_damping
+from seesawqec.channels import ChoiMatrix, amplitude_damping, from_choi, to_choi
+from seesawqec.optimizer import random_cptp
 
 
 def rand_complex(rng, rows, cols):
@@ -25,28 +27,33 @@ class TestMatmul:
 
 
 class TestHermEig:
+    """The Hermitian eigendecomposition inside ``from_choi``: the Kraus
+    operators are the eigenvectors scaled by the roots of their eigenvalues,
+    weight descending."""
+
     def test_diagonal(self):
-        w, v = linalg.herm_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(w, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
+        ks = from_choi(ChoiMatrix(np.diag([0.75, 0.25]), d_in=1, d_out=2)).kraus
+        np.testing.assert_allclose(np.abs(np.hstack(ks)), np.diag([np.sqrt(0.75), 0.5]),
+                                   atol=1e-14)
 
     def test_pauli_x(self):
-        w, _ = linalg.herm_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
+        # Eigenvalues 1 and -1: the smallest is found and refused.
+        with pytest.raises(ValueError, match=r"not PSD: eigenvalue -1\.000e\+00"):
+            from_choi(ChoiMatrix(np.array([[0, 1], [1, 0]], dtype=complex), 1, 2))
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_reconstruction(self, n):
-        rng = np.random.default_rng(n)
-        g = rand_complex(rng, n, n)
-        h = g + g.conj().T
-        w, v = linalg.herm_eig(h)
-        assert np.all(np.diff(w) <= 0)
-        np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-10)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
+        d_in = {2: 1, 8: 2, 64: 8}[n]
+        c = to_choi(random_cptp(d_in, n // d_in, n, np.random.default_rng(n)))
+        u = np.stack([k.ravel() for k in from_choi(c).kraus])
+        w = np.sum(np.abs(u) ** 2, axis=1)
+        assert len(u) == n and np.all(np.diff(w) <= 0)
+        np.testing.assert_allclose(u.T @ u.conj(), c.matrix, atol=1e-10)
+        np.testing.assert_allclose(u.conj() @ u.T, np.diag(w), atol=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            from_choi(ChoiMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2))
 
 
 class TestInvSqrtPsd:
@@ -95,17 +102,19 @@ class TestRealInput:
         rng = np.random.default_rng(21)
         g = rng.standard_normal((6, 6))
         m = g @ g.T + 0.1 * np.eye(6)
-        w, v = linalg.herm_eig(m)
         r = linalg.inv_sqrt_psd(m, 1e-12)
-        assert [a.dtype for a in (w, v, r)] == [np.float64] * 3
-        np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
+        assert r.dtype == np.float64
         np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex), 1e-12),
                                    atol=1e-12)
+        u = np.stack([k.ravel() for k in random_cptp(2, 3, 6, rng, real=True).kraus])
+        ks = from_choi(ChoiMatrix(u.T @ u, 2, 3)).kraus
+        v = np.stack([k.ravel() for k in ks])
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(v.T @ v, u.T @ u, atol=1e-12)
 
     @pytest.mark.parametrize("entry, match", [(np.nan, "NaN"), (np.inf, "Inf")])
     def test_rejects_non_finite_entries(self, entry, match):
         m = np.eye(4)
         m[0, 1] = entry
         with pytest.raises(ValueError, match=match):
-            linalg.herm_eig(m)
-
+            from_choi(ChoiMatrix(m, 2, 2))

@@ -240,14 +240,14 @@ class TestSeesaw:
         assert len(res.restart_traces) == res.restarts_used
         for trace in res.restart_traces:
             assert all(b >= a for a, b in zip(trace, trace[1:]))
-        assert res.fidelity == res.fidelity_trace[-1]
+        assert res.fidelity == res.restart_traces[res.best_restart_seed - opts.seed][-1]
 
     def test_deterministic(self):
         opts = q.SolveOptions(seed=11, restarts=3, max_outer_rounds=20)
         a = q.seesaw(q.amplitude_damping(0.4), 4, opts)
         b = q.seesaw(q.amplitude_damping(0.4), 4, opts)
         assert a.fidelity == b.fidelity
-        assert a.fidelity_trace == b.fidelity_trace
+        assert a.restart_traces == b.restart_traces
         assert a.best_restart_seed == b.best_restart_seed
 
     def test_returned_channels_are_cptp(self):
@@ -261,25 +261,32 @@ class TestSeesaw:
         opts = q.SolveOptions(seed=4, restarts=2, max_outer_rounds=15)
         first = q.seesaw(q.amplitude_damping(0.3), 4, opts)
         assert first.encoder_isometry is not None
-        warm = q.seesaw(q.amplitude_damping(0.35), 4, opts,
-                        extra_seed_encoders=[first.encoder_isometry])
+        warm = q.seesaw(q.amplitude_damping(0.35), 4, opts, warm=first.encoder_isometry)
         assert warm.restarts_used == opts.restarts + 1
+        # The warm start is the restart after the two fixed seeds.
+        start = q.optimize_recovery_multistarts(
+            first.encoder_isometry, [q.tensor_power(q.amplitude_damping(0.35), 4)],
+            opts.seed + 2)[0]
+        assert abs(warm.restart_traces[2][0] - start.fidelity) < 1e-12
 
     @pytest.mark.parametrize("n, restarts, warm, used", [(4, 1, 0, 2), (3, 1, 0, 1),
                                                           (4, 2, 1, 3)])
     def test_fixed_seeds_run_whatever_the_restart_count(self, n, restarts, warm, used):
         # The trivial embedding, and the 4-qubit code at n = 4, always run.
         opts = q.SolveOptions(seed=4, restarts=restarts, max_outer_rounds=2)
-        extra = [q.random_isometry(2, 2 ** n, 50 + j) for j in range(warm)]
-        res = q.seesaw(q.amplitude_damping(0.3), n, opts, extra_seed_encoders=extra)
+        res = q.seesaw(q.amplitude_damping(0.3), n, opts,
+                       warm=q.random_isometry(2, 2 ** n, 50) if warm else None)
         assert res.restarts_used == len(res.restart_traces) == used
 
-    @pytest.mark.parametrize("warm", [q.random_isometry(3, 8, 1), q.random_isometry(2, 16, 1),
-                                      np.eye(8, 2)])
-    def test_rejects_a_warm_start_that_is_not_a_2_to_2n_isometry(self, warm):
-        with pytest.raises(ValueError, match="warm-start encoder 0 must be a 2 -> 8 isometry"):
-            q.seesaw(q.amplitude_damping(0.3), 3, q.SolveOptions(restarts=2),
-                     extra_seed_encoders=[warm])
+    @pytest.mark.parametrize("warm, got", [
+        (q.random_isometry(3, 8, 1), r"\(8, 3\)"), (q.random_isometry(2, 16, 1), r"\(16, 2\)"),
+        (np.eye(8, 2), "ndarray"), ([q.random_isometry(2, 8, 1)], "list")],
+        ids=["warm0", "warm1", "warm2", "list"])
+    def test_rejects_a_warm_start_that_is_not_a_2_to_2n_isometry(self, warm, got):
+        # One Isometry, not a sequence of them: a list is refused too.
+        with pytest.raises(ValueError, match=f"warm start must be a 2 -> 8 isometry "
+                                             f"for n = 3, got {got}"):
+            q.seesaw(q.amplitude_damping(0.3), 3, q.SolveOptions(restarts=2), warm=warm)
 
     def test_rejects_non_qubit_noise(self):
         with pytest.raises(ValueError, match="single-qubit"):
