@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -28,36 +27,44 @@ HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Channel:
-    """A CPTP map held as a nonempty tuple of Kraus operators.
+    """A CPTP map held as a read-only stack of Kraus operators [r, d_out, d_in].
 
-    Every Kraus operator has shape ``(d_out, d_in)`` and the set
-    satisfies the completeness relation ``sum_k K_k^dag K_k = I`` within
-    ``COMPLETENESS_TOL``.
+    The stack is nonempty and satisfies the completeness relation
+    ``sum_k K_k^dag K_k = I`` within ``COMPLETENESS_TOL``.  It is float64
+    when the input is, complex128 otherwise (the rule of ``as_matrix``).
+    The constructor takes any array-like of that shape, such as a list of
+    equal-shape matrices, and stores a read-only view of it.
     """
 
-    kraus: Tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
-    def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = tuple(as_matrix(k) for k in kraus)
-        if not ops:
+    def __init__(self, kraus):
+        try:
+            ks = np.asarray(kraus)
+        except ValueError:  # a ragged sequence
+            shapes = [np.shape(k) for k in kraus]
+            raise ValueError(f"Kraus shapes differ: {shapes}") from None
+        if ks.shape[:1] == (0,):
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        for k in ops:
-            if k.shape != shape:
-                raise ValueError(f"Kraus shapes differ: {k.shape} vs {shape}")
-        s = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(s - np.eye(shape[1])))
+        if ks.ndim != 3:
+            raise ValueError(f"expected a [r, d_out, d_in] Kraus stack, got array "
+                             f"of ndim {ks.ndim}")
+        # Rows stacked: the completeness sum is flat^dag flat.
+        flat = as_matrix(ks.reshape(-1, ks.shape[2]))
+        dev = np.max(np.abs(flat.conj().T @ flat - np.eye(ks.shape[2])))
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated: deviation {dev:.3e}")
-        object.__setattr__(self, "kraus", ops)
+        ks = flat.reshape(ks.shape)
+        ks.flags.writeable = False
+        object.__setattr__(self, "kraus", ks)
 
     @property
     def d_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def d_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class ChoiMatrix:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel([np.eye(d)])
+    return Channel(np.eye(d)[None])
 
 
 def amplitude_damping(gamma: float) -> Channel:
@@ -81,21 +88,22 @@ def amplitude_damping(gamma: float) -> Channel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping parameter must lie in [0, 1], got {gamma}")
-    k0 = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[0, 1] = np.sqrt(gamma)
-    return Channel([k0, k1])
+    ks = np.zeros((2, 2, 2), dtype=complex)
+    ks[0, 0, 0], ks[0, 1, 1], ks[1, 0, 1] = 1.0, np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    return Channel(ks)
 
 
 def compose(first: Channel, then: Channel) -> Channel:
     """Sequential composition: ``first`` is applied first.
 
-    The Kraus set is all products ``B_j A_i``; nothing is pruned.
+    The Kraus set is all products ``B_j A_i`` at row-major index (i, j);
+    nothing is pruned.
     """
     if first.d_out != then.d_in:
         raise ValueError(f"cannot compose: first output dim {first.d_out} "
                          f"!= then input dim {then.d_in}")
-    return Channel([b @ a for a in first.kraus for b in then.kraus])
+    return Channel((then.kraus[None] @ first.kraus[:, None])
+                   .reshape(-1, then.d_out, first.d_in))
 
 
 def tensor_power(c: Channel, n: int) -> Channel:
@@ -113,13 +121,13 @@ def tensor_power(c: Channel, n: int) -> Channel:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
     if n == 1:
         return c
-    a = np.stack(c.kraus)
-    (na, ro, ci), ops = a.shape, a
+    a = ops = c.kraus
+    na, ro, ci = a.shape
     for _ in range(n - 1):
         # ops[i] (x) a[j] at row-major index (i, j): the first factor most significant.
         ops = (ops[:, None, :, None, :, None] * a[None, :, None, :, None, :]
                ).reshape(len(ops) * na, ops.shape[1] * ro, ops.shape[2] * ci)
-    return Channel(list(ops))
+    return Channel(ops)
 
 
 def apply(c: Channel, rho) -> np.ndarray:
@@ -127,19 +135,13 @@ def apply(c: Channel, rho) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (c.d_in, c.d_in):
         raise ValueError(f"state shape {rho.shape} does not match input dim {c.d_in}")
-    out = np.zeros((c.d_out, c.d_out), dtype=complex)
-    for k in c.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    return np.sum(c.kraus @ rho @ c.kraus.conj().swapaxes(1, 2), axis=0, dtype=complex)
 
 
 def to_choi(c: Channel) -> ChoiMatrix:
-    side = c.d_in * c.d_out
-    m = np.zeros((side, side), dtype=complex)
-    for k in c.kraus:
-        u = k.ravel()
-        m += np.outer(u, u.conj())
-    return ChoiMatrix(m, d_in=c.d_in, d_out=c.d_out)
+    u = c.kraus.reshape(len(c.kraus), -1)
+    return ChoiMatrix((u.T @ u.conj()).astype(complex, copy=False),
+                      d_in=c.d_in, d_out=c.d_out)
 
 
 def from_choi(x: ChoiMatrix) -> Channel:
@@ -165,14 +167,10 @@ def from_choi(x: ChoiMatrix) -> Channel:
     w, v = w[::-1], v[:, ::-1]
     if w[-1] < -CHOI_TOL:
         raise ValueError(f"Choi matrix not PSD: eigenvalue {w[-1]:.3e}")
-    rank_floor = 1e-12 * max(w[0], 0.0)
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam > rank_floor:
-            ops.append(np.sqrt(lam) * col.reshape(x.d_out, x.d_in))
-    if not ops:
+    keep = w > 1e-12 * max(w[0], 0.0)
+    if not keep.any():
         raise ValueError("Choi matrix has no eigenvalue above the rank tolerance")
-    return Channel(ops)
+    return Channel((np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, x.d_out, x.d_in))
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
@@ -193,5 +191,5 @@ def channel_fidelity(c: Channel) -> float:
         raise ValueError(f"channel fidelity needs d_in == d_out, got "
                          f"{c.d_in} and {c.d_out}")
     d = c.d_in
-    total = sum(abs(np.trace(k)) ** 2 for k in c.kraus)
+    total = np.sum(np.abs(np.trace(c.kraus, axis1=1, axis2=2)) ** 2)
     return float(total) / (d * d)

@@ -39,6 +39,8 @@ class SweepConfig:
 
     def __post_init__(self):
         require_integers(self, ("steps", "copies"))
+        if not isinstance(self.options, SolveOptions):
+            raise ValueError(f"options must be a SolveOptions, got {type(self.options).__name__}")
         if not (0.0 <= self.gamma_min <= 1.0 and 0.0 <= self.gamma_max <= 1.0):
             raise ValueError("gamma_min/gamma_max must lie in [0, 1]")
         if self.gamma_min > self.gamma_max:
@@ -225,23 +227,25 @@ def write_svg_plot(records: Sequence[SweepRecord], path: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The console script's options; every default is the dataclasses' own."""
+    config, opts = SweepConfig(), SolveOptions()
     p = argparse.ArgumentParser(
         prog="seesawqec",
         description="Optimize error-correcting encodings/recoveries for the "
                     "amplitude damping channel and sweep the damping parameter.")
-    p.add_argument("--gamma-min", type=float, default=0.0)
-    p.add_argument("--gamma-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--copies", type=int, default=4)
-    p.add_argument("--modes", type=str, default="nocoding,leung_optrec,seesaw",
-                   help="comma-separated subset of nocoding,leung_optrec,seesaw")
-    p.add_argument("--restarts", type=int, default=8,
+    p.add_argument("--gamma-min", type=float, default=config.gamma_min)
+    p.add_argument("--gamma-max", type=float, default=config.gamma_max)
+    p.add_argument("--steps", type=int, default=config.steps)
+    p.add_argument("--copies", type=int, default=config.copies)
+    p.add_argument("--modes", type=str, default=",".join(config.modes),
+                   help=f"comma-separated subset of {','.join(ALL_MODES)}")
+    p.add_argument("--restarts", type=int, default=opts.restarts,
                    help="seesaw restarts besides the warm start; the trivial embedding "
                         "and, at 4 copies, the 4-qubit code always run")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=opts.outer_tol,
                    help="outer (seesaw round) tolerance")
-    p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-outer", type=int, default=opts.max_outer_rounds)
+    p.add_argument("--seed", type=int, default=opts.seed)
     p.add_argument("--csv", type=str, default=None, metavar="PATH")
     p.add_argument("--svg", type=str, default=None, metavar="PATH")
     return p

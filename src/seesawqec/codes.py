@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .linalg import as_matrix, inv_sqrt_psd
+from .linalg import as_matrix
 
 ISOMETRY_TOL = 1e-10
 
@@ -40,7 +40,7 @@ class Isometry:
         return self.v.shape[0]
 
     def as_channel(self) -> Channel:
-        return Channel([self.v])
+        return Channel(self.v[None])
 
 
 def leung_encoder() -> Isometry:
@@ -66,13 +66,6 @@ def trivial_embedding(n: int) -> Isometry:
     return Isometry(v)
 
 
-def random_isometry(d_in: int, d_out: int, seed: int) -> Isometry:
-    """Polar factor of a seeded complex Gaussian matrix; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    return Isometry(g @ inv_sqrt_psd(g.conj().T @ g, 1e-12))
-
-
 def reversal_recovery(iso: Isometry) -> Channel:
     """A recovery that inverts ``iso`` on its range.
 
@@ -84,12 +77,10 @@ def reversal_recovery(iso: Isometry) -> Channel:
     d_out, d_in = v.shape
     # Complement basis from the full unitary extension of V.
     q, _ = np.linalg.qr(np.hstack([v, np.eye(d_out, dtype=complex)]), mode="reduced")
-    comp = q[:, d_in:d_out]
-    ops = [v.conj().T]
-    e0 = np.zeros((d_in, 1), dtype=complex)
-    e0[0, 0] = 1.0
-    for j in range(comp.shape[1]):
-        ops.append(e0 @ comp[:, j : j + 1].conj().T)
+    ops = np.zeros((1 + d_out - d_in, d_in, d_out), dtype=complex)
+    ops[0] = v.conj().T
+    # Operator j dumps complement direction j onto row 0, the first logical state.
+    ops[1:, 0] = q[:, d_in:d_out].conj().T
     return Channel(ops)
 
 
@@ -98,9 +89,6 @@ def partial_trace_recovery(n: int) -> Channel:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rest = 2 ** (n - 1)
-    ops = []
-    for b in range(rest):
-        bra = np.zeros((1, rest), dtype=complex)
-        bra[0, b] = 1.0
-        ops.append(np.kron(np.eye(2, dtype=complex), bra))
+    # Operator b is I (x) <b|: row i is the basis row of index (i, b).
+    ops = np.eye(2 * rest, dtype=complex).reshape(2, rest, 2 * rest).swapaxes(0, 1)
     return Channel(ops)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .channels import COMPLETENESS_TOL, Channel, tensor_power
 from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
-                    random_isometry, reversal_recovery, trivial_embedding)
+                    reversal_recovery, trivial_embedding)
 from .linalg import inv_sqrt_psd
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
@@ -129,8 +129,8 @@ class SolveOptions:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
-        if not self.outer_tol > 0:
-            raise ValueError("outer_tol must be positive")
+        if not 0 < self.outer_tol < np.inf:
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol!r}")
         if self.max_outer_rounds < 1:
             raise ValueError("max_outer_rounds must be >= 1")
         if self.restarts < 1:
@@ -241,7 +241,7 @@ def fidelity_operator_recovery(encoder: Channel, noise: Channel) -> np.ndarray:
     if encoder.d_out != noise.d_in:
         raise ValueError(f"encoder output dim {encoder.d_out} does not match "
                          f"noise input dim {noise.d_in}")
-    return _recovery_operators(np.stack(encoder.kraus)[None], np.stack(noise.kraus))[0]
+    return _recovery_operators(encoder.kraus[None], noise.kraus)[0]
 
 
 def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,18 +368,24 @@ def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
     kept float64) when ``real`` is set.
     """
     if rank * d_out < d_in:
-        raise ValueError(f"rank {rank} too small for a TP map {d_in} -> {d_out}")
+        raise ValueError(f"a TP map {d_in} -> {d_out} of Kraus rank {rank} needs "
+                         f"rank * d_out >= d_in")
     g = rng.standard_normal((rank, d_out, d_in))
     if not real:
         g = g + 1j * rng.standard_normal((rank, d_out, d_in))
     # A rank-deficient draw fails the Channel's completeness check.
     ks, _ = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
-    return Channel(list(ks.reshape(rank, d_out, d_in)))
+    return Channel(ks.reshape(rank, d_out, d_in))
 
 
 # ---------------------------------------------------------------------------
 # Seesaw driver
 # ---------------------------------------------------------------------------
+
+def random_isometry(d_in: int, d_out: int, seed: int) -> Isometry:
+    """Polar factor of a seeded complex Gaussian matrix: a rank-1 :func:`random_cptp`."""
+    return Isometry(random_cptp(d_in, d_out, 1, np.random.default_rng(seed)).kraus[0])
+
 
 def _seed_isometries(n: int, opts: SolveOptions, warm: Optional[Isometry]) -> List[Isometry]:
     # Trivial embedding first: at the fully-damped endpoint every recovery
@@ -435,12 +441,11 @@ def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
     returned as float64; otherwise all are complex128.
     """
     x = fidelity_operator_recovery(encoder.as_channel(), noise)
-    fixed = [np.stack(c.kraus) for c in (reversal_recovery(encoder), *extra_starts)]
+    fixed = [c.kraus for c in (reversal_recovery(encoder), *extra_starts)]
     real = not np.any(x.imag) and not any(np.any(s.imag) for s in fixed)
     rng = np.random.default_rng(rng_seed)
     starts = [s.real if real else s for s in fixed]
-    starts += [np.stack(random_cptp(noise.d_out, encoder.d_in, KRAUS_RANK_RECOVERY,
-                                    rng, real).kraus)
+    starts += [random_cptp(noise.d_out, encoder.d_in, KRAUS_RANK_RECOVERY, rng, real).kraus
                for _ in range(2)]
     return (x.real if real else x), starts
 
@@ -515,7 +520,7 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]]) -> Lis
                                                 np.full(len(stacks), INNER_TOL))
             for lo, hi in spans:
                 j = lo + _first_best(f[lo:hi])
-                out.append(HalfResult(Channel(list(best[j, :counts[j]])), float(f[j]),
+                out.append(HalfResult(Channel(best[j, :counts[j]]), float(f[j]),
                                       int(iters[lo:hi].sum()), bool(conv[j])))
     return out
 
@@ -572,6 +577,8 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     """
     if not isinstance(noise_single, Channel):
         raise ValueError(f"noise_single must be a Channel, got {type(noise_single).__name__}")
+    if not isinstance(opts, SolveOptions):
+        raise ValueError(f"opts must be a SolveOptions, got {type(opts).__name__}")
     if noise_single.d_in != 2 or noise_single.d_out != 2:
         raise ValueError("seesaw expects a single-qubit noise channel")
     if warm is not None and (not isinstance(warm, Isometry) or warm.v.shape != (2 ** n, 2)):
@@ -580,7 +587,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
                          f"got {shape}")
 
     noise = tensor_power(noise_single, n)
-    nks, a1 = np.stack(noise.kraus), np.stack(noise_single.kraus)
+    nks, a1 = noise.kraus, noise_single.kraus
     seeds = _seed_isometries(n, opts, warm)
 
     # Every restart's widest start has the same count (see _pad below), so
@@ -595,7 +602,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     # operators or the random rank), so the batch shape does not depend on
     # which restarts exist, and made complex, since a round's recovery half
     # runs at a complex encoder even where every start is real.
-    rec, rec_count = _pad([np.stack(res.channel.kraus) for res in results],
+    rec, rec_count = _pad([res.channel.kraus for res in results],
                           max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
     rec = rec.astype(complex, copy=False)
     del results     # their Kraus operators are views into the multistart's stacks
@@ -655,7 +662,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
 
     win = _first_best(best_f)
     # A copy, so that the result does not hold every restart's recovery.
-    recovery = Channel(list(best_rec[win, :rec_count[win]].copy()))
+    recovery = Channel(best_rec[win, :rec_count[win]].copy())
     return SeesawResult(
         recovery=recovery, fidelity=float(best_f[win]), restarts_used=len(seeds),
         converged=bool(converged[win]), best_restart_seed=opts.seed + win,

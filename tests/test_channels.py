@@ -39,6 +39,66 @@ def choi_oracle(c):
     return m
 
 
+def compose_reference(first, then):
+    """The products B_j A_i one operator pair at a time, at row-major index (i, j)."""
+    return np.array([b @ a for a in first.kraus for b in then.kraus])
+
+
+def apply_reference(c, rho):
+    """sum_k K rho K^dag, one Kraus operator at a time."""
+    return sum(k @ rho @ k.conj().T for k in c.kraus)
+
+
+def choi_sum_reference(c):
+    """sum_k ravel(K) ravel(K)^dag, one Kraus operator at a time."""
+    return sum(np.outer(k.ravel(), k.ravel().conj()) for k in c.kraus)
+
+
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+class TestKrausStack:
+    @pytest.mark.parametrize("ops, dtype", [
+        ([np.eye(2)], np.float64),
+        ([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0])], np.complex128),
+        (np.eye(3, 2)[None], np.float64),
+        (np.eye(2, dtype=int)[None], np.complex128),
+        (np.eye(2, dtype=np.float32)[None], np.complex128),
+    ], ids=["float64-list", "mixed-list", "float64-stack", "int-stack", "float32-stack"])
+    def test_is_one_stack_in_the_field_of_its_input(self, ops, dtype):
+        c = q.Channel(ops)
+        assert isinstance(c.kraus, np.ndarray) and c.kraus.dtype == dtype
+        assert c.kraus.shape == (len(ops), c.d_out, c.d_in)
+        np.testing.assert_array_equal(c.kraus, np.asarray(ops))
+
+    def test_is_read_only_and_leaves_the_input_writeable(self):
+        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        c = q.Channel(ops)
+        with pytest.raises(ValueError, match="read-only"):
+            c.kraus[0, 0, 0] = 0.5
+        assert ops.flags.writeable
+        ops[1, 1, 1] = 1.0
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compose_apply_and_choi_equal_per_operator_sums(self, seed, real):
+        rng = np.random.default_rng(40 + seed)
+        first = q.random_cptp(2, 3, 2, rng, real)
+        then = q.random_cptp(3, 2, 3, rng, real)
+        both = q.compose(first, then)
+        assert both.kraus.shape == (6, 2, 2)
+        np.testing.assert_allclose(both.kraus, compose_reference(first, then), atol=1e-14)
+        for c in (first, then, both):
+            rho = random_state(c.d_in, seed)
+            np.testing.assert_allclose(q.apply(c, rho), apply_reference(c, rho), atol=1e-14)
+            np.testing.assert_allclose(q.to_choi(c).matrix, choi_sum_reference(c),
+                                       atol=1e-14)
+
+
 class TestAmplitudeDamping:
     def test_gamma_zero(self):
         c = q.amplitude_damping(0.0)

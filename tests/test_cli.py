@@ -95,6 +95,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=r"repeats \['nocoding'\]"):
             SweepConfig(modes=("nocoding", "seesaw", "nocoding"))
 
+    def test_rejects_options_that_are_not_solve_options(self):
+        # Used to fail only inside the fixed-code run, on "'NoneType' object
+        # has no attribute 'seed'".
+        with pytest.raises(ValueError, match="options must be a SolveOptions, got NoneType"):
+            SweepConfig(modes=("leung_optrec",), options=None)
+
     def test_accepts_numpy_integer_counts(self):
         config = SweepConfig(steps=np.int64(3), copies=np.int32(4))
         assert (config.steps, config.copies) == (3, 4)
@@ -210,6 +216,20 @@ class TestMain:
         rc = cli.main(["--tol", "nan", "--steps", "2", "--modes", "nocoding"])
         assert rc == 1
         assert "outer_tol must be positive" in capsys.readouterr().err
+
+    def test_infinite_tolerance_is_an_error(self, capsys):
+        rc = cli.main(["--tol", "inf", "--steps", "2", "--modes", "nocoding"])
+        assert rc == 1
+        assert "outer_tol must be positive and finite" in capsys.readouterr().err
+
+    def test_parser_defaults_are_the_dataclass_defaults(self):
+        args = cli.build_parser().parse_args([])
+        config, opts = SweepConfig(), q.SolveOptions()
+        assert (args.gamma_min, args.gamma_max, args.steps, args.copies) == (
+            config.gamma_min, config.gamma_max, config.steps, config.copies)
+        assert tuple(args.modes.split(",")) == config.modes
+        assert (args.restarts, args.tol, args.max_outer, args.seed) == (
+            opts.restarts, opts.outer_tol, opts.max_outer_rounds, opts.seed)
 
     def test_module_runs_once_under_python_m(self):
         # The package root does not import the CLI, so runpy finds no

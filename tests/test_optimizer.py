@@ -294,8 +294,13 @@ class TestSeesaw:
 
     def test_rejects_noise_that_is_not_a_channel(self):
         kraus = q.amplitude_damping(0.3).kraus
-        with pytest.raises(ValueError, match="noise_single must be a Channel, got tuple"):
+        with pytest.raises(ValueError, match="noise_single must be a Channel, got ndarray"):
             q.seesaw(kraus, 2, q.SolveOptions())
+
+    def test_rejects_options_that_are_not_solve_options(self):
+        # Used to fail deep inside with "'NoneType' object has no attribute 'restarts'".
+        with pytest.raises(ValueError, match="opts must be a SolveOptions, got NoneType"):
+            q.seesaw(q.amplitude_damping(0.3), 4, None)
 
 
 class TestRecoveryMultistartsArguments:
@@ -319,6 +324,11 @@ class TestSolveOptions:
     def test_rejects_nan_tolerances(self, field):
         with pytest.raises(ValueError, match="positive"):
             q.SolveOptions(**{field: float("nan")})
+
+    def test_rejects_an_infinite_tolerance(self):
+        # With outer_tol = inf every restart "converged" on its first floor round.
+        with pytest.raises(ValueError, match="outer_tol must be positive and finite"):
+            q.SolveOptions(outer_tol=float("inf"))
 
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
