@@ -25,18 +25,25 @@ CHOI_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+def is_integer(value) -> bool:
+    """Python and NumPy integers pass; ``bool`` and integral floats such as 3.0 do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A CPTP map held as a read-only stack of Kraus operators [r, d_out, d_in].
 
     The stack is nonempty and satisfies the completeness relation
-    ``sum_k K_k^dag K_k = I`` within ``COMPLETENESS_TOL``.  It is float64
-    when the input is, complex128 otherwise (the rule of ``as_matrix``).
-    The constructor takes any array-like of that shape, such as a list of
-    equal-shape matrices, and stores a read-only view of it.
+    ``sum_k K_k^dag K_k = I`` within ``COMPLETENESS_TOL`` (``ISOMETRY_TOL``
+    for an ``Isometry``).  It is float64 when the input is, complex128
+    otherwise (the rule of ``as_matrix``).  The constructor takes any
+    array-like of that shape, such as a list of equal-shape matrices, and
+    stores a read-only view of it; channels compare and hash by identity.
     """
 
     kraus: np.ndarray
+    _tol = COMPLETENESS_TOL  # not a field: a subclass may check tighter
 
     def __init__(self, kraus):
         try:
@@ -52,8 +59,9 @@ class Channel:
         # Rows stacked: the completeness sum is flat^dag flat.
         flat = as_matrix(ks.reshape(-1, ks.shape[2]))
         dev = np.max(np.abs(flat.conj().T @ flat - np.eye(ks.shape[2])))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated: deviation {dev:.3e}")
+        if dev > self._tol:
+            raise ValueError(f"Kraus completeness violated: sum K^dag K deviates from "
+                             f"identity by {dev:.3e}")
         ks = flat.reshape(ks.shape)
         ks.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
@@ -67,7 +75,7 @@ class Channel:
         return self.kraus.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix of a channel, unnormalized (trace = d_in), output factor first."""
 
@@ -115,7 +123,7 @@ def tensor_power(c: Channel, n: int) -> Channel:
     time, left to right, so every entry is the same product, in the same
     order, as ``np.kron`` chained over the factors.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not is_integer(n):
         raise ValueError(f"tensor power needs an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
@@ -147,13 +155,15 @@ def to_choi(c: Channel) -> ChoiMatrix:
 def from_choi(x: ChoiMatrix) -> Channel:
     """Extract a Kraus decomposition from a Choi matrix, checking it.
 
-    The side must match the dims, the entries must be finite, the matrix
-    Hermitian (to ``HERMITICITY_TOL``) and PSD, and the Kraus set
-    complete.  The Kraus operators are the scaled eigenvectors, weight
-    descending; eigenvalues at or below ``1e-12`` times the leading one
-    are dropped, so the roundtrip ``to_choi(from_choi(x))`` reproduces
-    ``x`` within the dropped weight.
+    The dims must be positive integers, the side must match them, the
+    entries must be finite, the matrix Hermitian (to ``HERMITICITY_TOL``)
+    and PSD, and the Kraus set complete.  The Kraus operators are the
+    scaled eigenvectors, weight descending; eigenvalues at or below
+    ``1e-12`` times the leading one are dropped, so the roundtrip
+    ``to_choi(from_choi(x))`` reproduces ``x`` within the dropped weight.
     """
+    if not all(is_integer(d) and d > 0 for d in (x.d_out, x.d_in)):
+        raise ValueError(f"Choi dims must be positive integers, got ({x.d_out!r}, {x.d_in!r})")
     side = x.d_in * x.d_out
     if np.shape(x.matrix) != (side, side):
         raise ValueError(f"Choi side {np.shape(x.matrix)} inconsistent with dims "

@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import amplitude_damping, channel_fidelity, tensor_power
+from .channels import amplitude_damping, channel_fidelity, is_integer, tensor_power
 from .codes import Isometry, leung_encoder
 from .optimizer import (LEUNG_RESTART_INDEX, SolveOptions,
-                        optimize_recovery_multistarts, require_integers, seesaw)
+                        optimize_recovery_multistarts, seesaw)
 
 ALL_MODES = ("leung_optrec", "nocoding", "seesaw")
 
@@ -38,7 +38,9 @@ class SweepConfig:
     options: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
-        require_integers(self, ("steps", "copies"))
+        for name in ("steps", "copies"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.options, SolveOptions):
             raise ValueError(f"options must be a SolveOptions, got {type(self.options).__name__}")
         if not (0.0 <= self.gamma_min <= 1.0 and 0.0 <= self.gamma_max <= 1.0):
@@ -124,7 +126,7 @@ def _run_seesaw(config: SweepConfig) -> List[SweepRecord]:
                                res.inner_iterations_total, res.outer_rounds,
                                res.restarts_used, res.converged,
                                (time.perf_counter() - t0) * 1e3))
-        warm = res.encoder_isometry
+        warm = res.encoder
     return out
 
 

@@ -16,31 +16,22 @@ from .linalg import as_matrix
 ISOMETRY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """A single-Kraus encoder ``V`` with ``V^dag V = I`` on the input space."""
+@dataclass(frozen=True, eq=False)
+class Isometry(Channel):
+    """An encoder: a :class:`Channel` whose one Kraus operator ``V`` has
+    ``V^dag V = I`` on the input space, within ``ISOMETRY_TOL``."""
 
-    v: np.ndarray
+    _tol = ISOMETRY_TOL
 
     def __init__(self, v):
         v = as_matrix(v)
         if v.shape[0] < v.shape[1]:
             raise ValueError(f"isometry needs d_out >= d_in, got shape {v.shape}")
-        dev = np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])))
-        if dev > ISOMETRY_TOL:
-            raise ValueError(f"V^dag V deviates from identity by {dev:.3e}")
-        object.__setattr__(self, "v", v)
+        super().__init__(v[None])
 
     @property
-    def d_in(self) -> int:
-        return self.v.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.v.shape[0]
-
-    def as_channel(self) -> Channel:
-        return Channel(self.v[None])
+    def v(self) -> np.ndarray:
+        return self.kraus[0]
 
 
 def leung_encoder() -> Isometry:

@@ -50,30 +50,18 @@ field changes.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, Channel, tensor_power
+from .channels import COMPLETENESS_TOL, Channel, is_integer, tensor_power
 from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
                     reversal_recovery, trivial_embedding)
 from .linalg import inv_sqrt_psd
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
-
-
-def require_integers(obj, names: Sequence[str]) -> None:
-    """Raise ValueError unless each named field of ``obj`` is an integer.
-
-    NumPy integers pass; ``bool`` and integral floats such as 3.0 do not.
-    """
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # A half-problem stops when one accepted power step changes the fidelity
@@ -125,7 +113,9 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("max_outer_rounds", "restarts", "seed"))
+        for name in ("max_outer_rounds", "restarts", "seed"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
@@ -137,7 +127,7 @@ class SolveOptions:
             raise ValueError("restarts must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfResult:
     """Best start of one half-problem's multistart: that start's best
     iterate ``channel``, its ``fidelity`` and whether it ``converged`` (stopped
@@ -150,10 +140,9 @@ class HalfResult:
     converged: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class SeesawResult:
-    """The winning restart of :func:`seesaw`: its best pair,
-    ``encoder_isometry`` (``encoder`` is the same map as a :class:`Channel`)
+    """The winning restart of :func:`seesaw`: its best pair, ``encoder``
     and ``recovery``, their ``fidelity``, whether it ``converged`` on
     ``outer_tol`` before ``max_outer_rounds``, its ``outer_rounds``, and
     ``best_restart_seed``, ``opts.seed`` plus its index.  ``restart_traces``
@@ -168,14 +157,10 @@ class SeesawResult:
     restarts_used: int
     converged: bool
     best_restart_seed: int
-    encoder_isometry: Isometry
+    encoder: Isometry
     inner_iterations_total: int
     outer_rounds: int
     restart_traces: List[List[float]]
-
-    @property
-    def encoder(self) -> Channel:
-        return self.encoder_isometry.as_channel()
 
 
 def _scaled_hermitian(x: np.ndarray, d_logical: int) -> np.ndarray:
@@ -440,7 +425,7 @@ def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
     random starts are then drawn real, and X and every start stack are
     returned as float64; otherwise all are complex128.
     """
-    x = fidelity_operator_recovery(encoder.as_channel(), noise)
+    x = fidelity_operator_recovery(encoder, noise)
     fixed = [c.kraus for c in (reversal_recovery(encoder), *extra_starts)]
     real = not np.any(x.imag) and not any(np.any(s.imag) for s in fixed)
     rng = np.random.default_rng(rng_seed)
@@ -486,7 +471,7 @@ def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
                 raise ValueError(f"noise output dim {noise.d_out} differs from the "
                                  f"first noise channel's {starts[0].shape[2]}")
             else:
-                x = fidelity_operator_recovery(encoder.as_channel(), noise)
+                x = fidelity_operator_recovery(encoder, noise)
                 if starts[0].dtype == np.float64 and not np.any(x.imag):
                     x = x.real
             # Not held while the generator waits for a full batch to run.
@@ -606,7 +591,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
                           max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
     rec = rec.astype(complex, copy=False)
     del results     # their Kraus operators are views into the multistart's stacks
-    enc = np.stack([iso.v for iso in seeds])[:, None]
+    enc = np.stack([iso.kraus for iso in seeds])
     best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
 
     # Per restart: the encoder half's last output E' and the number k of
@@ -666,6 +651,6 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     return SeesawResult(
         recovery=recovery, fidelity=float(best_f[win]), restarts_used=len(seeds),
         converged=bool(converged[win]), best_restart_seed=opts.seed + win,
-        encoder_isometry=Isometry(best_enc[win, 0]),
+        encoder=Isometry(best_enc[win, 0]),
         inner_iterations_total=total_iters, outer_rounds=len(traces[win]) // 2,
         restart_traces=traces)

@@ -240,6 +240,14 @@ class TestChoi:
         with pytest.raises(ValueError, match=match):
             q.from_choi(q.ChoiMatrix(matrix.astype(complex), 2, 2))
 
+    @pytest.mark.parametrize("field", ["d_in", "d_out"])
+    @pytest.mark.parametrize("dim", [2.0, True, 0, -2])
+    def test_from_choi_rejects_dims_that_are_not_positive_integers(self, field, dim):
+        # These used to fail inside, on a TypeError or NumPy's own reshape errors.
+        dims = {"d_in": 2, "d_out": 2, field: dim}
+        with pytest.raises(ValueError, match="Choi dims must be positive integers"):
+            q.from_choi(q.ChoiMatrix(np.eye(4, dtype=complex), **dims))
+
 
 class TestApply:
     def test_identity(self):

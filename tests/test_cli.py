@@ -112,7 +112,7 @@ class TestRunSweep:
         config = SweepConfig(gamma_min=0.2, gamma_max=0.3, steps=2, copies=3,
                              modes=("seesaw",), options=opts)
         first = q.seesaw(q.amplitude_damping(0.2), 3, opts)
-        second = q.seesaw(q.amplitude_damping(0.3), 3, opts, warm=first.encoder_isometry)
+        second = q.seesaw(q.amplitude_damping(0.3), 3, opts, warm=first.encoder)
         records = run_sweep(config)
         assert [r.gamma for r in records] == [0.2, 0.3]
         for r, res in zip(records, (first, second)):

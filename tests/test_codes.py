@@ -40,7 +40,7 @@ class TestTrivialEmbedding:
     def test_partial_trace_recovery_reproduces_bare_fidelity(self):
         gamma = 0.33
         n = 4
-        enc = q.trivial_embedding(n).as_channel()
+        enc = q.trivial_embedding(n)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
         rec = q.partial_trace_recovery(n)
         total = q.compose(q.compose(enc, noise), rec)
@@ -75,16 +75,41 @@ class TestIsometryType:
             q.Isometry(np.ones((4, 2)))
 
     def test_channel_from_isometry_is_complete(self):
-        c = q.leung_encoder().as_channel()
+        c = q.leung_encoder()
         s = sum(k.conj().T @ k for k in c.kraus)
         np.testing.assert_allclose(s, np.eye(2), atol=1e-9)
+
+    def test_is_a_channel_of_one_kraus_operator(self):
+        enc = q.leung_encoder()
+        assert isinstance(enc, q.Channel)
+        assert enc.kraus.shape == (1, 16, 2)
+        np.testing.assert_array_equal(enc.v, enc.kraus[0])
+
+    def test_composes_as_it_is(self):
+        noise = q.tensor_power(q.amplitude_damping(0.3), 4)
+        c = q.compose(q.leung_encoder(), noise)
+        assert (len(c.kraus), c.d_out, c.d_in) == (16, 16, 2)
+
+    def test_v_is_read_only(self):
+        enc = q.leung_encoder()
+        with pytest.raises(ValueError, match="read-only"):
+            enc.v[0, 0] = 1.0
+
+    def test_checks_completeness_tighter_than_a_channel(self):
+        # V^dag V misses I by 5e-10: between ISOMETRY_TOL and COMPLETENESS_TOL.
+        # The Channel constructor runs the one check, at the Isometry's tolerance.
+        v = q.leung_encoder().v.copy()
+        v[0, 0] *= 1 + 5e-10
+        with pytest.raises(ValueError, match=r"completeness violated: .* by 5\.0"):
+            q.Isometry(v)
+        assert q.Channel(v[None]).kraus.shape == (1, 16, 2)
 
 
 class TestReversalRecovery:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_inverts_on_noiseless_channel(self, seed):
         iso = q.random_isometry(2, 8, seed)
-        total = q.compose(iso.as_channel(), q.reversal_recovery(iso))
+        total = q.compose(iso, q.reversal_recovery(iso))
         assert abs(q.channel_fidelity(total) - 1.0) < 1e-12
 
     def test_is_valid_channel(self):

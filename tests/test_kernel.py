@@ -155,7 +155,7 @@ class TestKernelAgainstReference:
             ("fixed_point", ident, np.stack(q.identity_channel(2).kraus)),
             ("capped", damping, np.stack(q.random_cptp(2, 2, 2,
                                                        np.random.default_rng(1)).kraus)),
-            ("normal", ident, np.stack(q.random_isometry(2, 2, 77).as_channel().kraus)),
+            ("normal", ident, np.stack(q.random_isometry(2, 2, 77).kraus)),
         ]
         ks, counts = _pad([m[2] for m in members])
         fallbacks = {name: [] for name, _, _ in members}
@@ -639,7 +639,7 @@ class TestSharedStarts:
         assert x.dtype == np.float64
         assert out[0].channel.kraus[0].dtype == np.float64
         assert out[1].channel.kraus[0].dtype == np.complex128
-        x2 = q.fidelity_operator_recovery(enc.as_channel(), cplx)
+        x2 = q.fidelity_operator_recovery(enc, cplx)
         ref = _multistarts([(x2, starts)])[0]
         assert (out[1].fidelity, out[1].iterations) == (ref.fidelity, ref.iterations)
 
@@ -700,7 +700,7 @@ class TestRealField:
         # The kernel works in the operator's field, so no complex iterate is
         # truncated into the real start's array.
         noise = q.tensor_power(q.amplitude_damping(0.3), 2)
-        x = q.fidelity_operator_recovery(q.random_isometry(2, 4, 5).as_channel(), noise)
+        x = q.fidelity_operator_recovery(q.random_isometry(2, 4, 5), noise)
         start = q.random_cptp(4, 2, 4, np.random.default_rng(1), real=True)
         ks = np.stack(start.kraus)
         assert ks.dtype == np.float64 and np.any(x.imag)

@@ -1,6 +1,8 @@
 """Fidelity operators, the power-step kernel on one half-problem, the
 oracle, and the seesaw driver."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ class TestFidelityOperators:
         d_code = 2 ** n
         gamma = rng.uniform(0.05, 0.95)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
-        enc = q.random_isometry(2, d_code, 500 + seed).as_channel()
+        enc = q.random_isometry(2, d_code, 500 + seed)
         rec = q.random_cptp(d_code, 2, 4, rng)
         x = q.fidelity_operator_recovery(enc, noise)
         f_quad = quadratic_fidelity(x, rec)
@@ -66,7 +68,7 @@ class TestFidelityOperators:
         d_code = 2 ** n
         gamma = rng.uniform(0.05, 0.95)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
-        enc = q.random_isometry(2, d_code, 700 + seed).as_channel()
+        enc = q.random_isometry(2, d_code, 700 + seed)
         rec = q.random_cptp(d_code, 2, 4, rng)
         y = fidelity_operator_encoding(rec, noise)
         f_quad = quadratic_fidelity(y, enc)
@@ -85,7 +87,7 @@ class TestFidelityOperators:
     def test_perfect_correction_through_noiseless_operator(self):
         iso = q.random_isometry(2, 8, 42)
         noise = q.identity_channel(8)
-        x = q.fidelity_operator_recovery(iso.as_channel(), noise)
+        x = q.fidelity_operator_recovery(iso, noise)
         f = quadratic_fidelity(x, q.reversal_recovery(iso))
         assert abs(f - 1.0) < 1e-12
 
@@ -105,7 +107,7 @@ class TestOptimizeHalf:
     def test_identity_objective_reaches_unitary(self):
         d = 3
         x = identity_objective(d)
-        initial = q.random_isometry(d, d, 77).as_channel()
+        initial = q.random_isometry(d, d, 77)
         channel, f, _, _ = optimize_half(x, initial)
         assert abs(f - 1.0) < 1e-9
         u = channel.kraus[0]
@@ -119,7 +121,7 @@ class TestOptimizeHalf:
 
     def test_never_below_start(self):
         noise = q.tensor_power(q.amplitude_damping(0.25), 2)
-        enc = q.random_isometry(2, 4, 9).as_channel()
+        enc = q.random_isometry(2, 4, 9)
         x = q.fidelity_operator_recovery(enc, noise)
         start = random_channel(4, 2, 4, 10)
         f0 = quadratic_fidelity(x, start)
@@ -128,7 +130,7 @@ class TestOptimizeHalf:
 
     def test_output_is_cptp(self):
         noise = q.tensor_power(q.amplitude_damping(0.4), 2)
-        enc = q.random_isometry(2, 4, 11).as_channel()
+        enc = q.random_isometry(2, 4, 11)
         x = q.fidelity_operator_recovery(enc, noise)
         channel, _, _, _ = optimize_half(x, random_channel(4, 2, 4, 12))
         s = sum(k.conj().T @ k for k in channel.kraus)
@@ -152,8 +154,8 @@ class TestOptimizeEncodingIsometric:
         res = q.seesaw(q.amplitude_damping(gamma), 4, opts)
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
         y = fidelity_operator_encoding(res.recovery, noise)
-        assert res.encoder_isometry is not None
-        _, f, _, _ = optimize_isometry(y, res.encoder_isometry)
+        assert res.encoder is not None
+        _, f, _, _ = optimize_isometry(y, res.encoder)
         assert f >= res.fidelity - INNER_TOL
 
 
@@ -167,7 +169,7 @@ class TestOracle:
         enc = q.leung_encoder()
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
         res = fixed_code_recovery(noise, rng_seed=0)
-        x = q.fidelity_operator_recovery(enc.as_channel(), noise)
+        x = q.fidelity_operator_recovery(enc, noise)
         orc = oracle_optimize(x, (2, 16), iters=800)
         assert abs(res.fidelity - orc) < 1e-6
 
@@ -210,7 +212,7 @@ class TestSeesaw:
         for n in range(1, 6):
             res = q.seesaw(q.amplitude_damping(0.0), n, q.SolveOptions())
             assert res.fidelity == 1.0 and res.converged, n
-            np.testing.assert_array_equal(res.encoder_isometry.v, q.trivial_embedding(n).v)
+            np.testing.assert_array_equal(res.encoder.v, q.trivial_embedding(n).v)
 
     def test_full_damping_endpoint(self):
         res = q.seesaw(q.amplitude_damping(1.0), 4, q.SolveOptions(seed=7))
@@ -257,15 +259,23 @@ class TestSeesaw:
             s = sum(k.conj().T @ k for k in c.kraus)
             np.testing.assert_allclose(s, np.eye(c.d_in), atol=1e-8)
 
+    def test_result_encoder_is_an_isometry_and_warm_starts(self):
+        opts = q.SolveOptions(seed=3, restarts=2, max_outer_rounds=5)
+        first = q.seesaw(q.amplitude_damping(0.3), 2, opts)
+        assert isinstance(first.encoder, q.Isometry)
+        assert first.encoder.kraus.shape == (1, 4, 2)
+        warm = q.seesaw(q.amplitude_damping(0.35), 2, opts, warm=first.encoder)
+        assert warm.restarts_used == opts.restarts + 1
+
     def test_warm_start_seed_is_used(self):
         opts = q.SolveOptions(seed=4, restarts=2, max_outer_rounds=15)
         first = q.seesaw(q.amplitude_damping(0.3), 4, opts)
-        assert first.encoder_isometry is not None
-        warm = q.seesaw(q.amplitude_damping(0.35), 4, opts, warm=first.encoder_isometry)
+        assert first.encoder is not None
+        warm = q.seesaw(q.amplitude_damping(0.35), 4, opts, warm=first.encoder)
         assert warm.restarts_used == opts.restarts + 1
         # The warm start is the restart after the two fixed seeds.
         start = q.optimize_recovery_multistarts(
-            first.encoder_isometry, [q.tensor_power(q.amplitude_damping(0.35), 4)],
+            first.encoder, [q.tensor_power(q.amplitude_damping(0.35), 4)],
             opts.seed + 2)[0]
         assert abs(warm.restart_traces[2][0] - start.fidelity) < 1e-12
 
@@ -303,11 +313,26 @@ class TestSeesaw:
             q.seesaw(q.amplitude_damping(0.3), 4, None)
 
 
+class TestIdentity:
+    def test_channels_and_results_compare_and_hash_by_identity(self):
+        # Comparing two channels used to raise "truth value ... ambiguous",
+        # and hashing one "unhashable type".
+        a, b = q.amplitude_damping(0.3), q.amplitude_damping(0.3)
+        noise = q.tensor_power(a, 2)
+        half = q.optimize_recovery_multistarts(q.trivial_embedding(2), [noise], 1)[0]
+        res = q.seesaw(a, 2, q.SolveOptions(restarts=1, max_outer_rounds=2))
+        for obj, twin in [(a, b), (q.leung_encoder(), q.leung_encoder()),
+                          (q.to_choi(a), q.to_choi(b)), (half, copy.copy(half)),
+                          (res, copy.copy(res))]:
+            assert obj == obj and obj != twin
+            assert {obj: 1}[obj] == 1 and hash(obj) != hash(twin)
+
+
 class TestRecoveryMultistartsArguments:
     def test_rejects_an_encoder_that_is_not_an_isometry(self):
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
         with pytest.raises(ValueError, match="encoder must be an Isometry, got Channel"):
-            q.optimize_recovery_multistarts(q.leung_encoder().as_channel(), [noise], 8)
+            q.optimize_recovery_multistarts(q.Channel(q.leung_encoder().kraus), [noise], 8)
 
     def test_rejects_noise_that_is_not_a_channel(self):
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
