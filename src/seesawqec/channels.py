@@ -30,6 +30,12 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Python and NumPy reals pass, NaN and infinities included; ``bool``, strings and
+    complex numbers do not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """A CPTP map held as a read-only stack of Kraus operators [r, d_out, d_in].
@@ -39,7 +45,8 @@ class Channel:
     for an ``Isometry``).  It is float64 when the input is, complex128
     otherwise (the rule of ``as_matrix``).  The constructor takes any
     array-like of that shape, such as a list of equal-shape matrices, and
-    stores a read-only view of it; channels compare and hash by identity.
+    stores a read-only copy of it, so a later change to the caller's array
+    cannot break completeness; channels compare and hash by identity.
     """
 
     kraus: np.ndarray
@@ -47,7 +54,7 @@ class Channel:
 
     def __init__(self, kraus):
         try:
-            ks = np.asarray(kraus)
+            ks = np.array(kraus)
         except ValueError:  # a ragged sequence
             shapes = [np.shape(k) for k in kraus]
             raise ValueError(f"Kraus shapes differ: {shapes}") from None
@@ -94,8 +101,8 @@ def amplitude_damping(gamma: float) -> Channel:
     Kraus operators: ``K0 = diag(1, sqrt(1-gamma))`` and ``K1`` with the
     single entry ``sqrt(gamma)`` at (0, 1).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping parameter must lie in [0, 1], got {gamma}")
+    if not (is_real(gamma) and 0.0 <= gamma <= 1.0):
+        raise ValueError(f"damping parameter must lie in [0, 1], got {gamma!r}")
     ks = np.zeros((2, 2, 2), dtype=complex)
     ks[0, 0, 0], ks[0, 1, 1], ks[1, 0, 1] = 1.0, np.sqrt(1.0 - gamma), np.sqrt(gamma)
     return Channel(ks)

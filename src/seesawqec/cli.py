@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import amplitude_damping, channel_fidelity, is_integer, tensor_power
+from .channels import (amplitude_damping, channel_fidelity, is_integer, is_real,
+                       tensor_power)
 from .codes import Isometry, leung_encoder
-from .optimizer import (LEUNG_RESTART_INDEX, SolveOptions,
-                        optimize_recovery_multistarts, seesaw)
+from .optimizer import SolveOptions, optimize_recovery_multistarts, seesaw
 
 ALL_MODES = ("leung_optrec", "nocoding", "seesaw")
 
@@ -43,8 +43,9 @@ class SweepConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.options, SolveOptions):
             raise ValueError(f"options must be a SolveOptions, got {type(self.options).__name__}")
-        if not (0.0 <= self.gamma_min <= 1.0 and 0.0 <= self.gamma_max <= 1.0):
-            raise ValueError("gamma_min/gamma_max must lie in [0, 1]")
+        for name in ("gamma_min", "gamma_max"):
+            if not (is_real(value := getattr(self, name)) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.gamma_min > self.gamma_max:
             raise ValueError("gamma_min must not exceed gamma_max")
         if self.steps < 2:
@@ -106,8 +107,7 @@ def _run_leung_optrec(config: SweepConfig) -> List[SweepRecord]:
     # A generator, so each gamma's noise channel is built only when its
     # batch is filled.
     results = optimize_recovery_multistarts(
-        enc, (tensor_power(amplitude_damping(g), 4) for g in noisy),
-        config.options.seed + LEUNG_RESTART_INDEX)
+        enc, (tensor_power(amplitude_damping(g), 4) for g in noisy))
     share = (time.perf_counter() - t0) * 1e3 / max(len(noisy), 1)
     for g, res in zip(noisy, results):
         out.append(SweepRecord(g, "leung_optrec", res.fidelity, res.iterations, 1, 1,

@@ -33,18 +33,18 @@ operators come from one stacked dense product over the batch's encoders
 built qubit by qubit for every live restart at once: each recovery's
 Choi matrix is pushed through the single-qubit transfer matrix of the
 noise on one qubit at a time (:func:`_encoding_operators`), so the
-2^n-operator tensor power is never multiplied out for that half.  A
-recovery multistart takes one encoder and a sequence of noise channels
-and builds its start set once, so every gamma of a fixed-code curve runs
-from the same starts.
+2^n-operator tensor power is never multiplied out for that half.
 
-A recovery multistart whose operator and fixed starts have zero
-imaginary part (the 4-qubit code or the trivial embedding under a real
-noise channel, so every fixed-code gamma) draws real random starts and
-runs in float64, where a power step's ``eigh`` and matmuls are cheaper;
-any other runs in complex128.  The data sets the field: the kernel works
-in the result type of its inputs, and a multistart batch ends where the
-field changes.
+The fixed-code curve runs each gamma from one deterministic start, the
+transpose recovery of the noisy code (:func:`_transpose_problem`); the
+seesaw's restarts run from the reversal recovery and seeded random
+channels (:func:`_starts`).  A recovery problem whose operator and fixed
+starts have zero imaginary part (the 4-qubit code or the trivial
+embedding under a real noise channel, so every fixed-code gamma) runs in
+float64, where a power step's ``eigh`` and matmuls are cheaper, and its
+random starts are drawn real; any other runs in complex128.  The data sets the
+field: the kernel works in the result type of its inputs, and a
+multistart batch ends where the field changes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, Channel, is_integer, tensor_power
+from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real, tensor_power
 from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
                     reversal_recovery, trivial_embedding)
 from .linalg import inv_sqrt_psd
@@ -84,11 +84,11 @@ SEESAW_KAPPA = 0.01
 
 # Most problems that _multistarts puts in one kernel batch, so that peak
 # memory does not grow with the grid.  A batch holds every member's
-# operator and working arrays until its slowest member stops.  On the
-# 21-point fixed-code curve, one batch of all 20 problems raised peak RSS
-# from 39.5 to 44.8 MiB; ten (30 members) give 42.8 MiB at the same
-# speed, since the step count is set by the slowest member either way,
-# and five give 40.7 MiB but take 13% longer.  A batch also ends where
+# operator and working arrays until its slowest member stops.  When the
+# 21-point fixed-code curve ran three starts per problem, one batch of all
+# 20 problems raised peak RSS from 39.5 to 44.8 MiB; ten (30 members)
+# gave 42.8 MiB at the same speed, since the step count is set by the
+# slowest member either way, and five gave 40.7 MiB but took 13% longer.  A batch also ends where
 # the problems' field changes.  Bit-identical results across batchings
 # need both the same field and the same padding width.
 MULTISTART_BATCH = 10
@@ -119,7 +119,7 @@ class SolveOptions:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
-        if not 0 < self.outer_tol < np.inf:
+        if not (is_real(self.outer_tol) and 0 < self.outer_tol < np.inf):
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol!r}")
         if self.max_outer_rounds < 1:
             raise ValueError("max_outer_rounds must be >= 1")
@@ -382,11 +382,6 @@ def _seed_isometries(n: int, opts: SolveOptions, warm: Optional[Isometry]) -> Li
         for j in range(opts.restarts - len(fixed))]
 
 
-# Restart index of the 4-qubit-code seed inside seesaw(); the sweep's
-# fixed-code mode reuses it so both paths optimize from identical starts.
-LEUNG_RESTART_INDEX = 1
-
-
 def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> Tuple[np.ndarray, List[int]]:
     """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``.
 
@@ -435,48 +430,76 @@ def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
     return (x.real if real else x), starts
 
 
-def optimize_recovery_multistarts(encoder: Isometry, noises: Iterable[Channel],
-                                  rng_seed: int) -> List[HalfResult]:
+def _transpose_problem(encoder: Isometry, noise: Channel) -> Tuple[np.ndarray, np.ndarray]:
+    """The recovery operator of one problem and the Kraus stack of its transpose recovery.
+
+    The transpose (Petz) recovery of the noisy code (Barnum & Knill,
+    quant-ph/0004088) has the operators R_j = V^dag N_j^dag sigma^(-1/2),
+    sigma = sum_j N_j V V^dag N_j^dag: the Löwdin step of the adjoint
+    stack {V^dag N_j^dag}, whose Gram matrix is sigma.  All-zero adjoints
+    are dropped.  Where sigma is singular, the stack is completed on its
+    kernel: each added operator sends up to d kernel directions to the d
+    logical basis states, one to each.  Zero operators then pad the stack
+    to the noise channel's Kraus count, so that every gamma of a curve has
+    the same count.  X and the stack are float64 when both are
+    real-valued, complex128 otherwise.
+    """
+    x = fidelity_operator_recovery(encoder, noise)
+    v, nks = encoder.v, noise.kraus
+    d_code, d = v.shape
+    adj = v.conj().T @ nks.conj().swapaxes(1, 2)
+    adj = adj[np.any(adj, axis=(1, 2))]
+    if not np.any(x.imag) and not np.any(adj.imag):
+        x, adj = x.real, adj.real
+    ks = _renormalize(adj.reshape(1, -1, d_code), COMPLETENESS_TOL)[0].reshape(-1, d, d_code)
+    # What the Löwdin step leaves out of completeness is the projector onto ker sigma.
+    w, u = np.linalg.eigh(np.eye(d_code) - np.einsum("kai,kaj->ij", ks.conj(), ks))
+    ker = u[:, w > 0.5].conj().T
+    fill = -len(ker) % d
+    ker = np.concatenate([ker, np.zeros((fill, d_code), ker.dtype)]).reshape(-1, d, d_code)
+    start, _ = _pad([np.concatenate([ks, ker])], len(nks))
+    return x, start[0]
+
+
+def optimize_recovery_multistarts(encoder: Isometry,
+                                  noises: Iterable[Channel]) -> List[HalfResult]:
     """Best recovery of ``encoder`` under each channel of ``noises``.
 
-    Every noise channel runs from one start set, built once from the
-    first (:func:`_starts`): the encoder-reversal recovery and two random
-    channels drawn from a generator seeded with ``rng_seed`` (real ones
-    when the first problem is real-valued).  Each start stops at
-    ``INNER_TOL``, ties go to the earliest start, and ``iterations``
-    counts the steps of all starts.  This is the routine behind the
-    "optimized decoding with the fixed 4-qubit code" sweep mode and the
-    seesaw's initial recoveries, so the seesaw's seeded restarts dominate
-    that curve by construction.
+    Each noise channel runs from one deterministic start, the transpose
+    recovery of the noisy code (:func:`_transpose_problem`), which stops
+    at ``INNER_TOL``; ``iterations`` counts its power steps.  This is the
+    routine behind the "optimized decoding with the fixed 4-qubit code"
+    sweep mode.  The seesaw's 4-qubit-code restart starts from other
+    recoveries (:func:`_starts`), so the seesaw dominates that curve by
+    margin, not by construction.
 
     Every noise channel must have the first's output dimension.  A
-    problem runs in float64 when its operator and the starts are
-    real-valued, in complex128 otherwise.  Each noise channel is dropped
-    once its operator is built, so ``noises`` may be a generator that
-    builds each one on demand.  A result is bit-identical to that of a
-    call with its noise channel alone when both run in the same field, as
-    every gamma of a fixed-code curve does.
+    problem runs in float64 when its operator and start are real-valued,
+    in complex128 otherwise.  Each noise channel is dropped once its
+    problem is built, so ``noises`` may be a generator that builds each
+    one on demand.  A result is bit-identical to that of a call with its
+    noise channel alone when every start of the call has the same Kraus
+    count and both run in the same field, as every gamma of a fixed-code
+    curve does.  Where the start needs fewer operators than the noise
+    channel has, the result keeps the zero operators that pad it.
     """
     if not isinstance(encoder, Isometry):
         raise ValueError(f"encoder must be an Isometry, got {type(encoder).__name__}")
 
     def problems():
-        starts = None
+        d_out = None
         for noise in noises:
             if not isinstance(noise, Channel):
                 raise ValueError(f"noise must be a Channel, got {type(noise).__name__}")
-            if starts is None:
-                x, starts = _starts(encoder, noise, rng_seed, ())
-            elif noise.d_out != starts[0].shape[2]:
+            if d_out is None:
+                d_out = noise.d_out
+            elif noise.d_out != d_out:
                 raise ValueError(f"noise output dim {noise.d_out} differs from the "
-                                 f"first noise channel's {starts[0].shape[2]}")
-            else:
-                x = fidelity_operator_recovery(encoder, noise)
-                if starts[0].dtype == np.float64 and not np.any(x.imag):
-                    x = x.real
+                                 f"first noise channel's {d_out}")
+            x, start = _transpose_problem(encoder, noise)
             # Not held while the generator waits for a full batch to run.
             del noise
-            yield x, starts
+            yield x, [start]
 
     return _multistarts(problems())
 
@@ -551,13 +574,12 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     The restarts run in lockstep: after the restarts' initial recovery
     multistarts (one :func:`_starts` per restart, all run by one
     :func:`_multistarts` call; real-valued restarts, such as the trivial
-    and 4-qubit-code ones, run in their own float64 batch, the latter
-    from the fixed-code curve's starts), each round runs one
-    encoder-half batch and one recovery-half batch over the restarts
-    still going, plus one more recovery-half batch over those that fall
-    back.  Restart i's state (encoder, recovery, last E', k, gain and
-    best pair so far) is row i of stacked arrays; a round reads and
-    writes the rows of the restarts still going, and only the traces
+    and 4-qubit-code ones, run in their own float64 batch), each round
+    runs one encoder-half batch and one recovery-half batch over the
+    restarts still going, plus one more recovery-half batch over those
+    that fall back.  Restart i's state (encoder, recovery, last E', k,
+    gain and best pair so far) is row i of stacked arrays; a round reads
+    and writes the rows of the restarts still going, and only the traces
     are per-restart lists.
     """
     if not isinstance(noise_single, Channel):
@@ -590,7 +612,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     rec, rec_count = _pad([res.channel.kraus for res in results],
                           max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
     rec = rec.astype(complex, copy=False)
-    del results     # their Kraus operators are views into the multistart's stacks
+    del results     # not held through the rounds
     enc = np.stack([iso.kraus for iso in seeds])
     best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
 
@@ -646,11 +668,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
             break
 
     win = _first_best(best_f)
-    # A copy, so that the result does not hold every restart's recovery.
-    recovery = Channel(best_rec[win, :rec_count[win]].copy())
     return SeesawResult(
-        recovery=recovery, fidelity=float(best_f[win]), restarts_used=len(seeds),
-        converged=bool(converged[win]), best_restart_seed=opts.seed + win,
+        recovery=Channel(best_rec[win, :rec_count[win]]), fidelity=float(best_f[win]),
+        restarts_used=len(seeds), converged=bool(converged[win]),
+        best_restart_seed=opts.seed + win,
         encoder=Isometry(best_enc[win, 0]),
         inner_iterations_total=total_iters, outer_rounds=len(traces[win]) // 2,
         restart_traces=traces)

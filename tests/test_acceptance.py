@@ -135,7 +135,7 @@ def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for g in [0.1, 0.2, 0.4]:
         noise = q.tensor_power(q.amplitude_damping(g), 4)
-        res = q.optimize_recovery_multistarts(enc, [noise], SEED)[0]
+        res = q.optimize_recovery_multistarts(enc, [noise])[0]
         x = q.fidelity_operator_recovery(enc, noise)
         orc = oracle_optimize(x, (2, 16), iters=1200)
         worst = max(worst, abs(res.fidelity - orc))

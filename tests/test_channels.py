@@ -83,6 +83,14 @@ class TestKrausStack:
         assert ops.flags.writeable
         ops[1, 1, 1] = 1.0
 
+    def test_copies_the_input(self):
+        # The stack used to be a view of the caller's array, so this left
+        # the channel's completeness off by 3.0.
+        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        c = q.Channel(ops)
+        ops *= 2
+        np.testing.assert_array_equal(np.einsum("kai,kaj->ij", c.kraus, c.kraus), np.eye(2))
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
     @pytest.mark.parametrize("seed", range(3))
     def test_compose_apply_and_choi_equal_per_operator_sums(self, seed, real):
@@ -121,6 +129,12 @@ class TestAmplitudeDamping:
     def test_out_of_range(self, gamma):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             q.amplitude_damping(gamma)
+
+    def test_rejects_a_string(self):
+        # Used to raise a bare TypeError from the range comparison.
+        with pytest.raises(ValueError, match=r"damping parameter must lie in \[0, 1\], "
+                                             r"got '0.3'"):
+            q.amplitude_damping("0.3")
 
 
 class TestCompose:

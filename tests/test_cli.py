@@ -82,6 +82,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="copies"):
             SweepConfig(copies=3)
 
+    @pytest.mark.parametrize("field", ["gamma_min", "gamma_max"])
+    def test_rejects_a_string_gamma(self, field):
+        # Used to raise a bare TypeError from the range comparison.
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\], got '0.3'"):
+            SweepConfig(**{field: "0.3"})
+
     @pytest.mark.parametrize("field, value", [
         ("steps", 3.0), ("copies", 4.0), ("copies", True), ("steps", "3")])
     def test_rejects_non_integer_counts(self, field, value):

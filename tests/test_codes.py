@@ -90,6 +90,12 @@ class TestIsometryType:
         c = q.compose(q.leung_encoder(), noise)
         assert (len(c.kraus), c.d_out, c.d_in) == (16, 16, 2)
 
+    def test_copies_the_input(self):
+        v = q.leung_encoder().v.copy()
+        enc = q.Isometry(v)
+        v *= 2
+        np.testing.assert_allclose(enc.v.conj().T @ enc.v, np.eye(2), atol=1e-12)
+
     def test_v_is_read_only(self):
         enc = q.leung_encoder()
         with pytest.raises(ValueError, match="read-only"):

@@ -2,7 +2,7 @@
 rule, its speed-up over the plain power step, the lockstep seesaw against
 a one-restart loop of its extrapolated round, the independence of the
 lockstep multistart and seesaw from how their batches are composed, and
-the stacked operator builds and shared starts that feed them."""
+the stacked operator builds and starts that feed them."""
 
 import weakref
 
@@ -15,10 +15,10 @@ from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.cli import SweepConfig, run_sweep
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
-from seesawqec.optimizer import (INNER_TOL, LEUNG_RESTART_INDEX, MULTISTART_BATCH,
-                                 SEESAW_KAPPA, _encoding_operators, _lowdin, _multistarts,
-                                 _pad, _power_batch, _recovery_operators, _renormalize,
-                                 _seed_isometries, _starts)
+from seesawqec.optimizer import (INNER_TOL, MULTISTART_BATCH, SEESAW_KAPPA,
+                                 _encoding_operators, _lowdin, _multistarts, _pad,
+                                 _power_batch, _recovery_operators, _renormalize,
+                                 _seed_isometries, _starts, _transpose_problem)
 
 
 def reference_renormalize(ks, tol):
@@ -196,14 +196,14 @@ class TestKernelAgainstReference:
 
 
 class TestAcceleration:
-    """The extrapolated step against the plain power step on the fixed code."""
+    """The extrapolated step against the plain power step on the fixed code,
+    from the seesaw's 4-qubit-code restart starts."""
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5])
     def test_fewer_steps_to_at_least_the_plain_optimum(self, gamma):
-        seed = 7 + LEUNG_RESTART_INDEX
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        res = q.optimize_recovery_multistarts(q.leung_encoder(), [noise], seed)[0]
-        x, starts = _starts(q.leung_encoder(), noise, seed, ())
+        res = one_problem(q.leung_encoder(), noise, 8)
+        x, starts = _starts(q.leung_encoder(), noise, 8, ())
         assert len(starts) == 3
         plain = [plain_reference_half(x, ks) for ks in starts]
         assert res.fidelity >= max(p[1] for p in plain) - 1e-12
@@ -457,10 +457,9 @@ class TestLockstepSeesaw:
         opts = q.SolveOptions(seed=7, restarts=8)
         big = q.seesaw(noise, 4, opts)
         assert small.restart_traces == big.restart_traces[:3]
-        # Seeded dominance of the fixed-code curve rests on this equality.
-        alone = one_problem(q.leung_encoder(), q.tensor_power(noise, 4),
-                            opts.seed + LEUNG_RESTART_INDEX)
-        assert big.restart_traces[LEUNG_RESTART_INDEX][0] == alone.fidelity
+        # The 4-qubit-code restart (index 1) starts at its one-problem multistart.
+        alone = one_problem(q.leung_encoder(), q.tensor_power(noise, 4), opts.seed + 1)
+        assert big.restart_traces[1][0] == alone.fidelity
 
     @pytest.mark.parametrize("n, gamma", [(2, 0.3), (5, 0.4)])
     def test_padded_starts_return_unpadded_cptp_channels(self, n, gamma):
@@ -539,9 +538,8 @@ class TestBatchedMultistart:
             if r.gamma == 0.0:
                 expect = (1.0, 0, 0, 1, True)
             else:
-                res = one_problem(
-                    q.leung_encoder(), q.tensor_power(q.amplitude_damping(r.gamma), 4),
-                    opts.seed + LEUNG_RESTART_INDEX)
+                res = q.optimize_recovery_multistarts(
+                    q.leung_encoder(), [q.tensor_power(q.amplitude_damping(r.gamma), 4)])[0]
                 expect = (res.fidelity, res.iterations, 1, 1, res.converged)
             assert (r.fidelity, r.inner_iterations_total, r.outer_rounds,
                     r.restarts_used, r.converged) == expect, r.gamma
@@ -593,8 +591,8 @@ class TestStackedBuilds:
 
 
 def count_start_builds(monkeypatch):
-    """Count the optimizer's calls of the two start builders, by name."""
-    calls = {"random_cptp": 0, "reversal_recovery": 0}
+    """Count the optimizer's calls of the three start builders, by name."""
+    calls = {"random_cptp": 0, "reversal_recovery": 0, "_transpose_problem": 0}
     for name in calls:
         def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -604,44 +602,43 @@ def count_start_builds(monkeypatch):
 
 
 class TestSharedStarts:
-    """One multistart call builds one start set for all its noise channels."""
+    """What one recovery multistart call builds: one deterministic start per
+    noise channel, and no seeded ones."""
 
     def test_fixed_code_curve_builds_its_starts_once(self, monkeypatch):
         calls = count_start_builds(monkeypatch)
         config = SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
                              modes=("leung_optrec",), options=q.SolveOptions(seed=7))
         assert len(run_sweep(config)) == config.steps
-        # One problem per gamma > 0 drew 2 random starts and built 1 reversal.
-        assert calls == {"random_cptp": 2, "reversal_recovery": 1}
+        # One transpose start per gamma > 0, and no random or reversal start.
+        assert calls == {"random_cptp": 0, "reversal_recovery": 0,
+                         "_transpose_problem": config.steps - 1}
 
     def test_each_call_builds_its_own_starts(self, monkeypatch):
         calls = count_start_builds(monkeypatch)
         leung = q.leung_encoder()
         noises = [q.tensor_power(q.amplitude_damping(g), 4) for g in (0.3, 0.5)]
-        first = q.optimize_recovery_multistarts(leung, noises, 8)
-        again = q.optimize_recovery_multistarts(leung, noises, 8)
-        assert calls == {"random_cptp": 4, "reversal_recovery": 2}
+        first = q.optimize_recovery_multistarts(leung, noises)
+        again = q.optimize_recovery_multistarts(leung, noises)
+        assert calls == {"random_cptp": 0, "reversal_recovery": 0, "_transpose_problem": 4}
         assert [(r.fidelity, r.iterations) for r in first] == \
             [(r.fidelity, r.iterations) for r in again]
-        other = q.optimize_recovery_multistarts(leung, noises[:1], 9)[0]
-        assert calls == {"random_cptp": 6, "reversal_recovery": 3}
-        alone = one_problem(leung, noises[0], 9)
-        assert (other.fidelity, other.iterations) == (alone.fidelity, alone.iterations)
+        alone = q.optimize_recovery_multistarts(leung, noises[1:])[0]
+        assert (alone.fidelity, alone.iterations) == (first[1].fidelity, first[1].iterations)
 
-    def test_later_noise_channels_run_from_the_first_ones_starts(self):
-        # A complex noise channel after a real one keeps the real start set
-        # and runs in complex128.
+    def test_each_noise_channel_runs_from_its_own_start(self):
+        # A complex noise channel after a real one runs in complex128 from
+        # its own start; the real one stays in float64.
         enc = q.trivial_embedding(2)
         real = q.tensor_power(q.amplitude_damping(0.3), 2)
         cplx = q.random_cptp(4, 4, 2, np.random.default_rng(3))
-        out = q.optimize_recovery_multistarts(enc, iter([real, cplx]), 8)
-        x, starts = _starts(enc, real, 8, ())
-        assert x.dtype == np.float64
-        assert out[0].channel.kraus[0].dtype == np.float64
-        assert out[1].channel.kraus[0].dtype == np.complex128
-        x2 = q.fidelity_operator_recovery(enc, cplx)
-        ref = _multistarts([(x2, starts)])[0]
-        assert (out[1].fidelity, out[1].iterations) == (ref.fidelity, ref.iterations)
+        out = q.optimize_recovery_multistarts(enc, iter([real, cplx]))
+        assert out[0].channel.kraus.dtype == np.float64
+        assert out[1].channel.kraus.dtype == np.complex128
+        for noise, res in zip((real, cplx), out):
+            x, start = _transpose_problem(enc, noise)
+            ref = _multistarts([(x, [start])])[0]
+            assert (res.fidelity, res.iterations) == (ref.fidelity, ref.iterations)
 
     def test_no_noise_channel_is_held_while_its_batch_runs(self, monkeypatch):
         refs, alive = [], []
@@ -657,7 +654,7 @@ class TestSharedStarts:
 
         monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
         gammas = np.linspace(0.05, 0.6, MULTISTART_BATCH + 2)
-        q.optimize_recovery_multistarts(q.trivial_embedding(2), map(noise, gammas), 8)
+        q.optimize_recovery_multistarts(q.trivial_embedding(2), map(noise, gammas))
         # One full batch, then the last two channels.
         assert len(refs) == len(gammas) and alive == [0, 0]
 
@@ -665,7 +662,43 @@ class TestSharedStarts:
         noises = [q.tensor_power(q.amplitude_damping(0.3), 2),
                   q.random_cptp(4, 2, 2, np.random.default_rng(3))]
         with pytest.raises(ValueError, match="differs from the first"):
-            q.optimize_recovery_multistarts(q.trivial_embedding(2), noises, 8)
+            q.optimize_recovery_multistarts(q.trivial_embedding(2), noises)
+
+
+class TestTransposeStart:
+    """The fixed-code curve's start: the transpose recovery of the noisy code."""
+
+    def test_is_v_dag_n_dag_sigma_to_the_minus_half_where_sigma_is_invertible(self):
+        enc, noise = q.leung_encoder(), q.tensor_power(q.amplitude_damping(0.3), 4)
+        x, start = _transpose_problem(enc, noise)
+        assert (x.dtype, start.dtype, start.shape) == (np.float64, np.float64, (16, 2, 16))
+        adj = enc.v.conj().T @ noise.kraus.conj().swapaxes(1, 2)
+        sigma = sum(n @ enc.v @ enc.v.conj().T @ n.conj().T for n in noise.kraus)
+        w, u = np.linalg.eigh(sigma)
+        np.testing.assert_allclose(start, adj @ (u / np.sqrt(w)) @ u.conj().T, atol=1e-12)
+        np.testing.assert_array_equal(x, q.fidelity_operator_recovery(enc, noise).real)
+
+    @pytest.mark.parametrize("gamma, used, fidelity", [(0.0, 1 + 7, 1.0), (1.0, 4 + 8, 0.25)])
+    def test_is_completed_on_ker_sigma_where_sigma_is_singular(self, gamma, used, fidelity):
+        # gamma = 0: one nonzero adjoint, sigma = V V^dag of rank 2.  gamma = 1:
+        # the 4 adjoints V^dag |j><0000| with V|j> != 0, sigma of rank 1.  The
+        # kernel takes (16 - rank) / 2 operators, rounded up, and zero
+        # operators pad the stack to the noise's 16.
+        noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+        x, start = _transpose_problem(q.leung_encoder(), noise)
+        assert start.shape == (16, 2, 16)
+        assert np.any(start[:used], axis=(1, 2)).all() and not start[used:].any()
+        assert_complete(start, tol=1e-14)
+        res = _multistarts([(x, [start])])[0]
+        assert abs(res.fidelity - fidelity) < 1e-15
+
+    def test_needs_more_operators_than_the_noise_for_a_random_code_at_full_damping(self):
+        # Every adjoint of a random code is nonzero, and sigma has rank 1.
+        x, start = _transpose_problem(q.random_isometry(2, 16, 3),
+                                      q.tensor_power(q.amplitude_damping(1.0), 4))
+        assert (x.dtype, start.dtype, start.shape) == (np.complex128, np.complex128,
+                                                       (16 + 8, 2, 16))
+        assert_complete(start, tol=1e-12)
 
 
 class TestRealField:
