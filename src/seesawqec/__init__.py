@@ -5,8 +5,7 @@ console script are in :mod:`seesawqec.cli`, which is not imported here."""
 from .channels import (Channel, ChoiMatrix, amplitude_damping, apply,
                        channel_fidelity, compose, from_choi, identity_channel,
                        max_entangled_vector, tensor_power, to_choi)
-from .codes import (Isometry, leung_encoder, partial_trace_recovery, reversal_recovery,
-                    trivial_embedding)
+from .codes import Isometry, leung_encoder, partial_trace_recovery, trivial_embedding
 from .optimizer import (HalfResult, SeesawResult, SolveOptions, fidelity_operator_recovery,
                         optimize_recovery_multistarts, random_cptp, random_isometry, seesaw)
 
@@ -15,7 +14,7 @@ __all__ = [
     "compose", "from_choi", "identity_channel", "max_entangled_vector",
     "tensor_power", "to_choi",
     "Isometry", "leung_encoder", "partial_trace_recovery", "random_isometry",
-    "reversal_recovery", "trivial_embedding",
+    "trivial_embedding",
     "HalfResult", "SeesawResult", "SolveOptions", "fidelity_operator_recovery",
     "optimize_recovery_multistarts", "random_cptp", "seesaw",
 ]

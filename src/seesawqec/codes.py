@@ -57,24 +57,6 @@ def trivial_embedding(n: int) -> Isometry:
     return Isometry(v)
 
 
-def reversal_recovery(iso: Isometry) -> Channel:
-    """A recovery that inverts ``iso`` on its range.
-
-    Kraus set: ``V^dag`` plus one operator per orthogonal complement
-    direction, each dumping that direction onto the first logical basis
-    state.  On the noiseless channel this recovers the encoding exactly.
-    """
-    v = iso.v
-    d_out, d_in = v.shape
-    # Complement basis from the full unitary extension of V.
-    q, _ = np.linalg.qr(np.hstack([v, np.eye(d_out, dtype=complex)]), mode="reduced")
-    ops = np.zeros((1 + d_out - d_in, d_in, d_out), dtype=complex)
-    ops[0] = v.conj().T
-    # Operator j dumps complement direction j onto row 0, the first logical state.
-    ops[1:, 0] = q[:, d_in:d_out].conj().T
-    return Channel(ops)
-
-
 def partial_trace_recovery(n: int) -> Channel:
     """Recovery that keeps the first qubit and traces out the other n-1."""
     if n < 1:

@@ -11,7 +11,7 @@ half-problems are solved by a fixed-point power step (w <- X w followed
 by trace-preserving renormalization), extrapolated along the previous
 step with Nesterov momentum that restarts whenever an extrapolated step
 would lower the fidelity, with a monotone-acceptance safeguard; the full
-problem by alternating the two halves from a set of seeded restarts.  The
+problem by alternating the two halves from a set of restarts.  The
 alternation is extrapolated one level up in the same way: each round's
 recovery half sees the encoder pushed along its last change, and a round
 that would end below its encoder half's value is redone without it.  It
@@ -21,9 +21,10 @@ tighter than ``INNER_TOL``; a restart counts as converged only on a
 round whose halves ran at ``INNER_TOL``.
 
 One stacked kernel (:func:`_power_batch`) runs the power step for a
-batch of half-problems at once: the starts of several multistarts (a
-whole fixed-code curve, a bounded number of gamma points per batch), or
-every live restart of a seesaw, in lockstep.  At a given padding width
+batch of half-problems at once: the recovery problems of several gamma
+points (a whole fixed-code curve, a bounded number of points per batch)
+or of a seesaw's restarts, or every live restart of a seesaw, in
+lockstep.  At a given padding width
 of the Kraus stacks, each member's arithmetic is the same whatever else
 is in the batch, so results do not depend on how the batch was composed.
 
@@ -35,16 +36,18 @@ Choi matrix is pushed through the single-qubit transfer matrix of the
 noise on one qubit at a time (:func:`_encoding_operators`), so the
 2^n-operator tensor power is never multiplied out for that half.
 
-The fixed-code curve runs each gamma from one deterministic start, the
-transpose recovery of the noisy code (:func:`_transpose_problem`); the
-seesaw's restarts run from the reversal recovery and seeded random
-channels (:func:`_starts`).  A recovery problem whose operator and fixed
-starts have zero imaginary part (the 4-qubit code or the trivial
-embedding under a real noise channel, so every fixed-code gamma) runs in
-float64, where a power step's ``eigh`` and matmuls are cheaper, and its
-random starts are drawn real; any other runs in complex128.  The data sets the
-field: the kernel works in the result type of its inputs, and a
-multistart batch ends where the field changes.
+Every recovery problem runs from one deterministic start
+(:func:`_recovery_problem`).  Each gamma of the fixed-code curve, and
+every seesaw restart but the trivial one, starts from the transpose
+recovery of its noisy code (:func:`_transpose_problem`); the trivial
+restart starts from the partial-trace recovery, which gives the
+no-coding value to rounding.  A problem whose operator and start have
+zero imaginary part (the 4-qubit code or the trivial embedding under a
+real noise channel, so every fixed-code gamma) runs in float64, where a
+power step's ``eigh`` and matmuls are cheaper; any other runs in
+complex128.
+The data sets the field: the kernel works in the result type of its
+inputs, and a multistart batch ends where the field changes.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real, tensor_power
-from .codes import (ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery,
-                    reversal_recovery, trivial_embedding)
+from .codes import ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery, trivial_embedding
 from .linalg import inv_sqrt_psd
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
@@ -84,13 +86,14 @@ SEESAW_KAPPA = 0.01
 
 # Most problems that _multistarts puts in one kernel batch, so that peak
 # memory does not grow with the grid.  A batch holds every member's
-# operator and working arrays until its slowest member stops.  When the
-# 21-point fixed-code curve ran three starts per problem, one batch of all
-# 20 problems raised peak RSS from 39.5 to 44.8 MiB; ten (30 members)
-# gave 42.8 MiB at the same speed, since the step count is set by the
-# slowest member either way, and five gave 40.7 MiB but took 13% longer.  A batch also ends where
-# the problems' field changes.  Bit-identical results across batchings
-# need both the same field and the same padding width.
+# operator and working arrays until its slowest member stops.  Measured
+# when each problem still ran three starts (three members): one batch of
+# all 20 points of the fixed-code curve raised peak RSS from 39.5 to
+# 44.8 MiB; ten gave 42.8 MiB at the same speed, since the step count is
+# set by the slowest member either way, and five gave 40.7 MiB but took
+# 13% longer.  A batch also ends where the problems' field changes.
+# Bit-identical results across batchings need both the same field and
+# the same padding width.
 MULTISTART_BATCH = 10
 
 
@@ -129,10 +132,11 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class HalfResult:
-    """Best start of one half-problem's multistart: that start's best
-    iterate ``channel``, its ``fidelity`` and whether it ``converged`` (stopped
-    on its tolerance, not on the step cap, a drop or a failed renormalization),
-    and the power steps of every start, summed (``iterations``)."""
+    """One recovery problem solved from its start: the best iterate
+    ``channel`` (without all-zero Kraus operators), its ``fidelity``, the
+    power steps run (``iterations``) and whether it ``converged`` (stopped
+    on its tolerance, not on the step cap, a drop or a failed
+    renormalization)."""
 
     channel: Channel
     fidelity: float
@@ -345,19 +349,13 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, tol: float,
     return best.reshape(ks.shape), best_f, iterations, converged
 
 
-def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator,
-                real: bool = False) -> Channel:
-    """Random channel with the given Kraus rank (needs rank * d_out >= d_in).
-
-    The Kraus operators are drawn complex Gaussian, or real Gaussian (and
-    kept float64) when ``real`` is set.
-    """
+def random_cptp(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:
+    """Random channel with the given Kraus rank (needs rank * d_out >= d_in), its
+    Kraus operators drawn complex Gaussian."""
     if rank * d_out < d_in:
         raise ValueError(f"a TP map {d_in} -> {d_out} of Kraus rank {rank} needs "
                          f"rank * d_out >= d_in")
-    g = rng.standard_normal((rank, d_out, d_in))
-    if not real:
-        g = g + 1j * rng.standard_normal((rank, d_out, d_in))
+    g = rng.standard_normal((rank, d_out, d_in)) + 1j * rng.standard_normal((rank, d_out, d_in))
     # A rank-deficient draw fails the Channel's completeness check.
     ks, _ = _renormalize(g.reshape(1, rank * d_out, d_in), COMPLETENESS_TOL)
     return Channel(ks.reshape(rank, d_out, d_in))
@@ -382,17 +380,21 @@ def _seed_isometries(n: int, opts: SolveOptions, warm: Optional[Isometry]) -> Li
         for j in range(opts.restarts - len(fixed))]
 
 
-def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> Tuple[np.ndarray, List[int]]:
+def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> np.ndarray:
     """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``.
 
     The stack is float64 when every input is, complex128 otherwise.
     """
-    counts = [len(s) for s in stacks]
-    out = np.zeros((len(stacks), max(counts + [width])) + stacks[0].shape[1:],
+    out = np.zeros((len(stacks), max([width] + [len(s) for s in stacks])) + stacks[0].shape[1:],
                    dtype=np.result_type(*{s.dtype for s in stacks}))
     for b, s in enumerate(stacks):
         out[b, :len(s)] = s
-    return out, counts
+    return out
+
+
+def _nonzero(ks: np.ndarray) -> Channel:
+    """The channel of the Kraus stack ks without its all-zero operators."""
+    return Channel(ks[np.any(ks, axis=(1, 2))])
 
 
 def _first_best(f: Sequence[float]) -> int:
@@ -404,34 +406,22 @@ def _first_best(f: Sequence[float]) -> int:
     return best
 
 
-# Kraus rank of the random starts of a recovery multistart.
-KRAUS_RANK_RECOVERY = 16
+def _recovery_problem(encoder: Isometry, noise: Channel,
+                      start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The recovery operator X of ``encoder`` under ``noise`` and the Kraus stack ``start``.
 
-
-def _starts(encoder: Isometry, noise: Channel, rng_seed: int,
-            extra_starts: Sequence[Channel]) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The recovery operator of one problem and the Kraus stacks of its starts.
-
-    The starts are the encoder-reversal recovery, the extra starts (the
-    seesaw's trivial restart adds the partial-trace recovery), and two
-    random channels drawn from a generator seeded with ``rng_seed``.
-    A problem is real when its operator X and its fixed starts (the
-    reversal recovery and the extra starts) have zero imaginary part.  Its
-    random starts are then drawn real, and X and every start stack are
-    returned as float64; otherwise all are complex128.
+    The start is zero-padded to the noise channel's Kraus count (it stays
+    wider if it has more operators).  X and the start are float64 when
+    both are real-valued, complex128 otherwise.
     """
     x = fidelity_operator_recovery(encoder, noise)
-    fixed = [c.kraus for c in (reversal_recovery(encoder), *extra_starts)]
-    real = not np.any(x.imag) and not any(np.any(s.imag) for s in fixed)
-    rng = np.random.default_rng(rng_seed)
-    starts = [s.real if real else s for s in fixed]
-    starts += [random_cptp(noise.d_out, encoder.d_in, KRAUS_RANK_RECOVERY, rng, real).kraus
-               for _ in range(2)]
-    return (x.real if real else x), starts
+    if not np.any(x.imag) and not np.any(start.imag):
+        x, start = x.real, start.real
+    return x, _pad([start], len(noise.kraus))[0]
 
 
 def _transpose_problem(encoder: Isometry, noise: Channel) -> Tuple[np.ndarray, np.ndarray]:
-    """The recovery operator of one problem and the Kraus stack of its transpose recovery.
+    """The :func:`_recovery_problem` whose start is the transpose recovery of the noisy code.
 
     The transpose (Petz) recovery of the noisy code (Barnum & Knill,
     quant-ph/0004088) has the operators R_j = V^dag N_j^dag sigma^(-1/2),
@@ -439,26 +429,23 @@ def _transpose_problem(encoder: Isometry, noise: Channel) -> Tuple[np.ndarray, n
     stack {V^dag N_j^dag}, whose Gram matrix is sigma.  All-zero adjoints
     are dropped.  Where sigma is singular, the stack is completed on its
     kernel: each added operator sends up to d kernel directions to the d
-    logical basis states, one to each.  Zero operators then pad the stack
-    to the noise channel's Kraus count, so that every gamma of a curve has
-    the same count.  X and the stack are float64 when both are
-    real-valued, complex128 otherwise.
+    logical basis states, one to each.  The step runs in float64 when the
+    adjoints are real-valued, and so are the products N_j V that X is
+    built from.
     """
-    x = fidelity_operator_recovery(encoder, noise)
     v, nks = encoder.v, noise.kraus
     d_code, d = v.shape
     adj = v.conj().T @ nks.conj().swapaxes(1, 2)
     adj = adj[np.any(adj, axis=(1, 2))]
-    if not np.any(x.imag) and not np.any(adj.imag):
-        x, adj = x.real, adj.real
+    if not np.any(adj.imag):
+        adj = adj.real
     ks = _renormalize(adj.reshape(1, -1, d_code), COMPLETENESS_TOL)[0].reshape(-1, d, d_code)
     # What the Löwdin step leaves out of completeness is the projector onto ker sigma.
     w, u = np.linalg.eigh(np.eye(d_code) - np.einsum("kai,kaj->ij", ks.conj(), ks))
     ker = u[:, w > 0.5].conj().T
     fill = -len(ker) % d
     ker = np.concatenate([ker, np.zeros((fill, d_code), ker.dtype)]).reshape(-1, d, d_code)
-    start, _ = _pad([np.concatenate([ks, ker])], len(nks))
-    return x, start[0]
+    return _recovery_problem(encoder, noise, np.concatenate([ks, ker]))
 
 
 def optimize_recovery_multistarts(encoder: Isometry,
@@ -469,9 +456,9 @@ def optimize_recovery_multistarts(encoder: Isometry,
     recovery of the noisy code (:func:`_transpose_problem`), which stops
     at ``INNER_TOL``; ``iterations`` counts its power steps.  This is the
     routine behind the "optimized decoding with the fixed 4-qubit code"
-    sweep mode.  The seesaw's 4-qubit-code restart starts from other
-    recoveries (:func:`_starts`), so the seesaw dominates that curve by
-    margin, not by construction.
+    sweep mode.  The seesaw's 4-qubit-code restart starts from the same
+    recovery and its rounds never lower a value, so the seesaw dominates
+    that curve by construction.
 
     Every noise channel must have the first's output dimension.  A
     problem runs in float64 when its operator and start are real-valued,
@@ -480,8 +467,7 @@ def optimize_recovery_multistarts(encoder: Isometry,
     one on demand.  A result is bit-identical to that of a call with its
     noise channel alone when every start of the call has the same Kraus
     count and both run in the same field, as every gamma of a fixed-code
-    curve does.  Where the start needs fewer operators than the noise
-    channel has, the result keeps the zero operators that pad it.
+    curve does.  A returned channel has no all-zero Kraus operator.
     """
     if not isinstance(encoder, Isometry):
         raise ValueError(f"encoder must be an Isometry, got {type(encoder).__name__}")
@@ -496,40 +482,32 @@ def optimize_recovery_multistarts(encoder: Isometry,
             elif noise.d_out != d_out:
                 raise ValueError(f"noise output dim {noise.d_out} differs from the "
                                  f"first noise channel's {d_out}")
-            x, start = _transpose_problem(encoder, noise)
+            problem = _transpose_problem(encoder, noise)
             # Not held while the generator waits for a full batch to run.
             del noise
-            yield x, [start]
+            yield problem
 
     return _multistarts(problems())
 
 
-def _multistarts(problems: Iterable[Tuple[np.ndarray, List[np.ndarray]]]) -> List[HalfResult]:
-    """Best start of each ``(x, starts)`` problem, ties going to the earliest.
+def _multistarts(problems: Iterable[Tuple[np.ndarray, np.ndarray]]) -> List[HalfResult]:
+    """The power step of each ``(x, start)`` problem, stopped at ``INNER_TOL``.
 
-    The starts of up to ``MULTISTART_BATCH`` consecutive problems of one
-    field run as one kernel batch, each stopping at ``INNER_TOL``.
-    Members are zero-padded to the widest start in their batch, and the
-    width can change the last bits, so a result is bit-identical to that
-    of the problem passed alone when every problem's widest start has the
-    same number of Kraus operators (as on a fixed-code curve, and for the
-    seesaw's trivial and 4-qubit-code restarts, which share a real batch).
+    Up to ``MULTISTART_BATCH`` consecutive problems of one field run as
+    one kernel batch.  Starts are zero-padded to the widest in their
+    batch, and the width can change the last bits, so a result is
+    bit-identical to that of the problem passed alone when every start
+    has the same number of Kraus operators (as on a fixed-code curve, and
+    for a seesaw's restarts below full damping).
     """
     out: List[HalfResult] = []
     for _, same_field in itertools.groupby(problems, key=lambda p: p[0].dtype):
         while batch := list(itertools.islice(same_field, MULTISTART_BATCH)):
-            xs, stacks, spans = [], [], []
-            for x, starts in batch:
-                spans.append((len(stacks), len(stacks) + len(starts)))
-                xs += [x] * len(starts)
-                stacks += starts
-            ks, counts = _pad(stacks)
-            best, f, iters, conv = _power_batch(np.stack(xs), ks, COMPLETENESS_TOL,
-                                                np.full(len(stacks), INNER_TOL))
-            for lo, hi in spans:
-                j = lo + _first_best(f[lo:hi])
-                out.append(HalfResult(Channel(best[j, :counts[j]]), float(f[j]),
-                                      int(iters[lo:hi].sum()), bool(conv[j])))
+            xs, starts = zip(*batch)
+            best, f, iters, conv = _power_batch(np.stack(xs), _pad(starts), COMPLETENESS_TOL,
+                                                np.full(len(batch), INNER_TOL))
+            out += [HalfResult(_nonzero(best[j]), float(f[j]), int(iters[j]), bool(conv[j]))
+                    for j in range(len(batch))]
     return out
 
 
@@ -537,11 +515,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
            warm: Optional[Isometry] = None) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
 
-    Restart seeds, in restart order: the trivial embedding (restart 0,
-    which also starts from the partial-trace recovery), the 4-qubit
-    damping code (when n = 4), the warm start ``warm`` if one is given
-    (one 2 -> 2^n :class:`Isometry`, such as the previous grid point's
-    winner), and seeded random isometries until there are
+    Restart seeds, in restart order: the trivial embedding (restart 0),
+    the 4-qubit damping code (when n = 4), the warm start ``warm`` if one
+    is given (one 2 -> 2^n :class:`Isometry`, such as the previous grid
+    point's winner), and seeded random isometries until there are
     ``opts.restarts`` restarts besides the warm start.  The fixed seeds
     always run, so ``restarts_used`` is max(opts.restarts, 2 if n = 4
     else 1), plus 1 with a warm start.  Within each restart, recovery and
@@ -549,6 +526,14 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     (below) gains less than ``outer_tol`` (converged) or
     ``max_outer_rounds`` is reached.  The best restart wins; ties go to
     the lowest index.
+
+    Each restart solves its first recovery half from one start.  Restart
+    0 starts from the partial-trace recovery, which gives the no-coding
+    value to rounding; every other restart from the transpose recovery
+    of its code (:func:`_transpose_problem`), so the 4-qubit-code restart
+    starts at the fixed-code curve's value.  No round lowers a restart's value,
+    so the result dominates both curves by construction.  The returned
+    recovery has no all-zero Kraus operator.
 
     The halves are solved inexactly.  In each round, every half of a
     restart (encoder, recovery and a fallback recovery) stops once an
@@ -571,10 +556,10 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     half's value, and (E_y, recovery) is both the next round's start and
     the pair whose fidelity is recorded.
 
-    The restarts run in lockstep: after the restarts' initial recovery
-    multistarts (one :func:`_starts` per restart, all run by one
-    :func:`_multistarts` call; real-valued restarts, such as the trivial
-    and 4-qubit-code ones, run in their own float64 batch), each round
+    The restarts run in lockstep: after the restarts' first recovery
+    halves (one :func:`_multistarts` call; real-valued restarts, such as
+    the trivial and 4-qubit-code ones, run in their own float64 batch),
+    each round
     runs one encoder-half batch and one recovery-half batch over the
     restarts still going, plus one more recovery-half batch over those
     that fall back.  Restart i's state (encoder, recovery, last E', k,
@@ -597,21 +582,18 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     nks, a1 = noise.kraus, noise_single.kraus
     seeds = _seed_isometries(n, opts, warm)
 
-    # Every restart's widest start has the same count (see _pad below), so
-    # one batched call gives each restart its one-problem result.
+    # One start per restart (see above).
     results = _multistarts(
-        (_starts(iso, noise, opts.seed + idx, [partial_trace_recovery(n)] if idx == 0 else [])
-         for idx, iso in enumerate(seeds)))
+        _recovery_problem(iso, noise, partial_trace_recovery(n).kraus) if idx == 0
+        else _transpose_problem(iso, noise) for idx, iso in enumerate(seeds))
     traces = [[res.fidelity] for res in results]
     total_iters = sum(res.iterations for res in results)
     # Restart i is row i of every stacked array.  Recoveries are padded to
-    # the widest start a multistart can have (the reversal's d_code - 1
-    # operators or the random rank), so the batch shape does not depend on
-    # which restarts exist, and made complex, since a round's recovery half
-    # runs at a complex encoder even where every start is real.
-    rec, rec_count = _pad([res.channel.kraus for res in results],
-                          max(noise.d_out - 1, KRAUS_RANK_RECOVERY))
-    rec = rec.astype(complex, copy=False)
+    # the noise channel's Kraus count, or wider where a start needs more
+    # operators (a random code's transpose start at full damping), and made
+    # complex, since a round's recovery half runs at a complex encoder even
+    # where every start is real.
+    rec = _pad([res.channel.kraus for res in results], len(nks)).astype(complex, copy=False)
     del results     # not held through the rounds
     enc = np.stack([iso.kraus for iso in seeds])
     best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
@@ -669,7 +651,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
 
     win = _first_best(best_f)
     return SeesawResult(
-        recovery=Channel(best_rec[win, :rec_count[win]]), fidelity=float(best_f[win]),
+        recovery=_nonzero(best_rec[win]), fidelity=float(best_f[win]),
         restarts_used=len(seeds), converged=bool(converged[win]),
         best_restart_seed=opts.seed + win,
         encoder=Isometry(best_enc[win, 0]),

@@ -1,4 +1,5 @@
-"""Dense reference build of the encoding half's fidelity operator.
+"""Dense reference build of the encoding half's fidelity operator, and
+random channels with real Kraus operators.
 
 The library builds this operator qubit by qubit
 (``seesawqec.optimizer._encoding_operators``); the dense product over
@@ -7,6 +8,19 @@ against.
 """
 
 import numpy as np
+
+import seesawqec as q
+
+
+def real_channel(d_in, d_out, rank, rng):
+    """Random channel with ``rank`` real Kraus operators (needs rank * d_out >= d_in).
+
+    The operators are the blocks of the Q factor of a real Gaussian
+    [rank * d_out, d_in] matrix, whose orthonormal columns make them
+    complete; the channel is float64.
+    """
+    qf, _ = np.linalg.qr(rng.standard_normal((rank * d_out, d_in)))
+    return q.Channel(qf.reshape(rank, d_out, d_in))
 
 
 def fidelity_operator_encoding(recovery, noise):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import seesawqec as q
+from dense import real_channel
 
 
 def random_channel(d_in, d_out, rank, seed):
@@ -95,8 +96,9 @@ class TestKrausStack:
     @pytest.mark.parametrize("seed", range(3))
     def test_compose_apply_and_choi_equal_per_operator_sums(self, seed, real):
         rng = np.random.default_rng(40 + seed)
-        first = q.random_cptp(2, 3, 2, rng, real)
-        then = q.random_cptp(3, 2, 3, rng, real)
+        draw = real_channel if real else q.random_cptp
+        first = draw(2, 3, 2, rng)
+        then = draw(3, 2, 3, rng)
         both = q.compose(first, then)
         assert both.kraus.shape == (6, 2, 2)
         np.testing.assert_allclose(both.kraus, compose_reference(first, then), atol=1e-14)

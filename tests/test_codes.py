@@ -109,15 +109,3 @@ class TestIsometryType:
         with pytest.raises(ValueError, match=r"completeness violated: .* by 5\.0"):
             q.Isometry(v)
         assert q.Channel(v[None]).kraus.shape == (1, 16, 2)
-
-
-class TestReversalRecovery:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_inverts_on_noiseless_channel(self, seed):
-        iso = q.random_isometry(2, 8, seed)
-        total = q.compose(iso, q.reversal_recovery(iso))
-        assert abs(q.channel_fidelity(total) - 1.0) < 1e-12
-
-    def test_is_valid_channel(self):
-        rec = q.reversal_recovery(q.leung_encoder())
-        assert rec.d_in == 16 and rec.d_out == 2

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import seesawqec as q
-from dense import fidelity_operator_encoding
+from dense import fidelity_operator_encoding, real_channel
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.cli import SweepConfig, run_sweep
 from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (INNER_TOL, MULTISTART_BATCH, SEESAW_KAPPA,
                                  _encoding_operators, _lowdin, _multistarts, _pad,
-                                 _power_batch, _recovery_operators, _renormalize,
-                                 _seed_isometries, _starts, _transpose_problem)
+                                 _power_batch, _recovery_operators, _recovery_problem,
+                                 _renormalize, _seed_isometries, _transpose_problem)
 
 
 def reference_renormalize(ks, tol):
@@ -122,9 +122,24 @@ def one_member(x, ks, tol):
     return best[0], float(f[0]), int(iters[0]), bool(conv[0])
 
 
-def one_problem(encoder, noise, rng_seed, extra_starts=()):
-    """The recovery multistart of one problem, passed alone."""
-    return _multistarts([_starts(encoder, noise, rng_seed, extra_starts)])[0]
+def restart_problem(idx, iso, noise, n):
+    """The first recovery problem (X, start) of seesaw restart ``idx``: the
+    partial-trace start for the trivial restart 0, the transpose start for
+    any other."""
+    if idx == 0:
+        return _recovery_problem(iso, noise, q.partial_trace_recovery(n).kraus)
+    return _transpose_problem(iso, noise)
+
+
+def one_problem(problem):
+    """The result of one recovery problem, passed alone."""
+    return _multistarts([problem])[0]
+
+
+def real_starts(d_in, count, seed):
+    """``count`` random real recovery starts d_in -> 2 of Kraus rank 16, stacked."""
+    rng = np.random.default_rng(seed)
+    return [real_channel(d_in, 2, 16, rng).kraus for _ in range(count)]
 
 
 def identity_objective(d):
@@ -157,7 +172,8 @@ class TestKernelAgainstReference:
                                                        np.random.default_rng(1)).kraus)),
             ("normal", ident, np.stack(q.random_isometry(2, 2, 77).kraus)),
         ]
-        ks, counts = _pad([m[2] for m in members])
+        ks = _pad([m[2] for m in members])
+        counts = [len(m[2]) for m in members]
         fallbacks = {name: [] for name, _, _ in members}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(q.optimizer, "MAX_INNER_ITERS", self.CAP)
@@ -197,17 +213,17 @@ class TestKernelAgainstReference:
 
 class TestAcceleration:
     """The extrapolated step against the plain power step on the fixed code,
-    from the seesaw's 4-qubit-code restart starts."""
+    from random real starts."""
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5])
     def test_fewer_steps_to_at_least_the_plain_optimum(self, gamma):
         noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-        res = one_problem(q.leung_encoder(), noise, 8)
-        x, starts = _starts(q.leung_encoder(), noise, 8, ())
-        assert len(starts) == 3
+        x = q.fidelity_operator_recovery(q.leung_encoder(), noise).real
+        starts = real_starts(16, 2, 8)
+        res = _multistarts([(x, ks) for ks in starts])
         plain = [plain_reference_half(x, ks) for ks in starts]
-        assert res.fidelity >= max(p[1] for p in plain) - 1e-12
-        assert 5 * res.iterations <= sum(p[2] for p in plain)
+        assert max(r.fidelity for r in res) >= max(p[1] for p in plain) - 1e-12
+        assert 5 * sum(r.iterations for r in res) <= sum(p[2] for p in plain)
 
 
 class TestStopTolerance:
@@ -220,10 +236,10 @@ class TestStopTolerance:
         problems = []
         for gamma in (0.2, 0.5):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-            xg, sg = _starts(q.leung_encoder(), noise, 8, ())
-            problems.append((xg, sg[1:]))
-        ks, _ = _pad([s for _, sg in problems for s in sg])
-        return np.stack([xg for xg, sg in problems for _ in sg]), ks, problems
+            xg = q.fidelity_operator_recovery(q.leung_encoder(), noise).real
+            problems += [(xg, ks) for ks in real_starts(16, 2, 8)]
+        xs, starts = zip(*problems)
+        return np.stack(xs), _pad(starts), problems
 
     def test_mixed_batch_equals_one_member_calls(self, members):
         x, ks, _ = members
@@ -244,9 +260,7 @@ class TestStopTolerance:
         _, f, iters, _ = _power_batch(x, ks, 1e-9, np.array(self.TOLS))
         at_floor = _power_batch(x, ks, 1e-9, floor(len(x)))
         for p, res in enumerate(_multistarts(problems)):
-            fp = at_floor[1][2 * p:2 * p + 2]
-            assert res.fidelity == fp[int(fp[1] > fp[0] + 1e-12)]
-            assert res.iterations == at_floor[2][2 * p:2 * p + 2].sum()
+            assert (res.fidelity, res.iterations) == (at_floor[1][p], at_floor[2][p])
         assert iters[0] < at_floor[2][0] and iters[2] < at_floor[2][2]
         assert iters[1] == at_floor[2][1] and f[1] == at_floor[1][1]
 
@@ -380,12 +394,9 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
 
 
 def seesaw_starts(noise, n, opts):
-    """(seed isometry, initial recovery multistart) of each restart of seesaw(n)."""
-    out = []
-    for idx, iso in enumerate(_seed_isometries(n, opts, None)):
-        extra = [q.partial_trace_recovery(n)] if idx == 0 else []
-        out.append((iso, one_problem(iso, noise, opts.seed + idx, extra)))
-    return out
+    """(seed isometry, first recovery half) of each restart of seesaw(n)."""
+    return [(iso, one_problem(restart_problem(idx, iso, noise, n)))
+            for idx, iso in enumerate(_seed_isometries(n, opts, None))]
 
 
 class TestExtrapolatedSeesaw:
@@ -457,19 +468,20 @@ class TestLockstepSeesaw:
         opts = q.SolveOptions(seed=7, restarts=8)
         big = q.seesaw(noise, 4, opts)
         assert small.restart_traces == big.restart_traces[:3]
-        # The 4-qubit-code restart (index 1) starts at its one-problem multistart.
-        alone = one_problem(q.leung_encoder(), q.tensor_power(noise, 4), opts.seed + 1)
+        # The 4-qubit-code restart (index 1) starts at its problem's one-problem result.
+        alone = one_problem(restart_problem(1, q.leung_encoder(), q.tensor_power(noise, 4), 4))
         assert big.restart_traces[1][0] == alone.fidelity
 
-    @pytest.mark.parametrize("n, gamma", [(2, 0.3), (5, 0.4)])
+    @pytest.mark.parametrize("n, gamma", [(2, 0.3), (5, 0.4), (4, 1.0)])
     def test_padded_starts_return_unpadded_cptp_channels(self, n, gamma):
-        # Start widths: reversal 2^n - 1, partial trace 2^(n-1), random 16.
-        opts = q.SolveOptions(seed=7, restarts=2, max_outer_rounds=2)
+        # Starts are padded to the noise's 2^n operators: the partial trace
+        # has 2^(n-1), a transpose start at most 2^n below full damping.  At
+        # gamma = 1 a random code's transpose start needs 16 + 8 operators.
+        opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=2)
         res = q.seesaw(q.amplitude_damping(gamma), n, opts)
         for c in (res.encoder, res.recovery):
             assert_complete(np.stack(c.kraus))
             assert all(np.any(k) for k in c.kraus)
-        assert len(res.recovery.kraus) in (2 ** n - 1, 2 ** (n - 1), 16)
         noise = q.tensor_power(q.amplitude_damping(gamma), n)
         f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
         assert abs(f - res.fidelity) < 1e-9
@@ -507,21 +519,19 @@ class TestBatchedMultistart:
 
         # At gamma=1 the renormalization fails on step 1.
         gammas = [0.05, 0.3, 1.0] + [0.1 * k for k in range(1, MULTISTART_BATCH)]
-        problems = [(leung, noise(g), 8, ()) for g in gammas]
-        # Seesaw-style: another encoder, an extra start and another seed.
-        problems.insert(3, (q.trivial_embedding(4), noise(0.3), 7,
-                            [q.partial_trace_recovery(4)]))
+        problems = [(1, leung, noise(g)) for g in gammas]
+        # The seesaw's trivial restart: another encoder and the partial-trace start.
+        problems.insert(3, (0, q.trivial_embedding(4), noise(0.3)))
         # A complex problem between real ones ends their batch.
-        problems.insert(5, (q.random_isometry(2, 16, 5), noise(0.3), 9, ()))
+        problems.insert(5, (1, q.random_isometry(2, 16, 5), noise(0.3)))
         assert len(problems) > MULTISTART_BATCH
-        return problems
+        return [restart_problem(idx, enc, noise, 4) for idx, enc, noise in problems]
 
     def test_each_result_equals_its_one_problem_call(self, problems):
-        batched = _multistarts(_starts(enc, noise, seed, extra)
-                               for enc, noise, seed, extra in problems)
+        batched = _multistarts(iter(problems))
         assert len(batched) == len(problems)
-        for (enc, noise, seed, extra), res in zip(problems, batched):
-            alone = one_problem(enc, noise, seed, extra)
+        for problem, res in zip(problems, batched):
+            alone = one_problem(problem)
             assert res.fidelity == alone.fidelity
             assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
             assert len(res.channel.kraus) == len(alone.channel.kraus)
@@ -568,7 +578,7 @@ class TestStackedBuilds:
         recs = [q.random_cptp(m, 2, rank, np.random.default_rng(10 * n + rank))
                 for rank in (max(1, m // 2), m // 2 + 1, m)]
         # Zero-padded past the widest recovery.
-        r, _ = _pad([np.stack(c.kraus) for c in recs], m + 2)
+        r = _pad([np.stack(c.kraus) for c in recs], m + 2)
         x = _encoding_operators(r, np.stack(single.kraus), n)
         for b, c in enumerate(recs):
             ref = fidelity_operator_encoding(c, noise)
@@ -591,8 +601,8 @@ class TestStackedBuilds:
 
 
 def count_start_builds(monkeypatch):
-    """Count the optimizer's calls of the three start builders, by name."""
-    calls = {"random_cptp": 0, "reversal_recovery": 0, "_transpose_problem": 0}
+    """Count the optimizer's calls of the transpose start and of random draws, by name."""
+    calls = {"random_cptp": 0, "_transpose_problem": 0}
     for name in calls:
         def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -610,9 +620,8 @@ class TestSharedStarts:
         config = SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=MULTISTART_BATCH + 2,
                              modes=("leung_optrec",), options=q.SolveOptions(seed=7))
         assert len(run_sweep(config)) == config.steps
-        # One transpose start per gamma > 0, and no random or reversal start.
-        assert calls == {"random_cptp": 0, "reversal_recovery": 0,
-                         "_transpose_problem": config.steps - 1}
+        # One transpose start per gamma > 0, and no random start.
+        assert calls == {"random_cptp": 0, "_transpose_problem": config.steps - 1}
 
     def test_each_call_builds_its_own_starts(self, monkeypatch):
         calls = count_start_builds(monkeypatch)
@@ -620,11 +629,21 @@ class TestSharedStarts:
         noises = [q.tensor_power(q.amplitude_damping(g), 4) for g in (0.3, 0.5)]
         first = q.optimize_recovery_multistarts(leung, noises)
         again = q.optimize_recovery_multistarts(leung, noises)
-        assert calls == {"random_cptp": 0, "reversal_recovery": 0, "_transpose_problem": 4}
+        assert calls == {"random_cptp": 0, "_transpose_problem": 4}
         assert [(r.fidelity, r.iterations) for r in first] == \
             [(r.fidelity, r.iterations) for r in again]
         alone = q.optimize_recovery_multistarts(leung, noises[1:])[0]
         assert (alone.fidelity, alone.iterations) == (first[1].fidelity, first[1].iterations)
+
+    @pytest.mark.parametrize("restarts", [2, 4])
+    def test_seesaw_builds_one_transpose_start_per_nontrivial_restart(self, monkeypatch,
+                                                                      restarts):
+        # The only random draws are the seeded isometries past the two fixed seeds.
+        calls = count_start_builds(monkeypatch)
+        opts = q.SolveOptions(seed=7, restarts=restarts, max_outer_rounds=1)
+        res = q.seesaw(q.amplitude_damping(0.3), 4, opts)
+        assert calls == {"random_cptp": restarts - 2,
+                         "_transpose_problem": res.restarts_used - 1}
 
     def test_each_noise_channel_runs_from_its_own_start(self):
         # A complex noise channel after a real one runs in complex128 from
@@ -637,7 +656,7 @@ class TestSharedStarts:
         assert out[1].channel.kraus.dtype == np.complex128
         for noise, res in zip((real, cplx), out):
             x, start = _transpose_problem(enc, noise)
-            ref = _multistarts([(x, [start])])[0]
+            ref = _multistarts([(x, start)])[0]
             assert (res.fidelity, res.iterations) == (ref.fidelity, ref.iterations)
 
     def test_no_noise_channel_is_held_while_its_batch_runs(self, monkeypatch):
@@ -689,8 +708,16 @@ class TestTransposeStart:
         assert start.shape == (16, 2, 16)
         assert np.any(start[:used], axis=(1, 2)).all() and not start[used:].any()
         assert_complete(start, tol=1e-14)
-        res = _multistarts([(x, [start])])[0]
+        res = _multistarts([(x, start)])[0]
         assert abs(res.fidelity - fidelity) < 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inverts_the_code_on_the_noiseless_channel(self, seed):
+        # sigma = V V^dag: the start is V^dag plus operators on the code's complement.
+        iso = q.random_isometry(2, 8, seed)
+        _, start = _transpose_problem(iso, q.identity_channel(8))
+        total = q.compose(iso, q.Channel(start))
+        assert abs(q.channel_fidelity(total) - 1.0) < 1e-12
 
     def test_needs_more_operators_than_the_noise_for_a_random_code_at_full_damping(self):
         # Every adjoint of a random code is nonzero, and sigma has rank 1.
@@ -706,22 +733,22 @@ class TestRealField:
 
     def test_fixed_code_starts_are_real_and_random_encoder_starts_complex(self):
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
-        for enc, extra in [(q.leung_encoder(), ()),
-                           (q.trivial_embedding(4), [q.partial_trace_recovery(4)])]:
-            x, starts = _starts(enc, noise, 8, extra)
-            assert [a.dtype for a in (x, *starts)] == [np.float64] * (1 + len(starts))
-        x, starts = _starts(q.random_isometry(2, 16, 3), noise, 8, ())
-        assert [a.dtype for a in (x, *starts)] == [np.complex128] * (1 + len(starts))
-        assert all(np.any(a.imag) for a in (x, *starts))
+        for idx, enc in enumerate([q.trivial_embedding(4), q.leung_encoder()]):
+            x, start = restart_problem(idx, enc, noise, 4)
+            assert (x.dtype, start.dtype) == (np.float64, np.float64)
+        x, start = restart_problem(1, q.random_isometry(2, 16, 3), noise, 4)
+        assert (x.dtype, start.dtype) == (np.complex128, np.complex128)
+        assert np.any(x.imag) and np.any(start.imag)
 
     def test_real_batch_agrees_with_the_same_batch_in_complex128(self):
         xs, stacks = [], []
         for gamma in (0.1, 0.2, 0.3, 0.6):
             noise = q.tensor_power(q.amplitude_damping(gamma), 4)
-            x, starts = _starts(q.leung_encoder(), noise, 8, ())
+            x, start = _transpose_problem(q.leung_encoder(), noise)
+            starts = [start] + real_starts(16, 2, 8)
             xs += [x] * len(starts)
             stacks += starts
-        x, (ks, _) = np.stack(xs), _pad(stacks)
+        x, ks = np.stack(xs), _pad(stacks)
         real = _power_batch(x, ks, 1e-9, floor(len(x)))
         cplx = _power_batch(x.astype(complex), ks.astype(complex), 1e-9, floor(len(x)))
         assert (real[0].dtype, cplx[0].dtype) == (np.float64, np.complex128)
@@ -734,7 +761,7 @@ class TestRealField:
         # truncated into the real start's array.
         noise = q.tensor_power(q.amplitude_damping(0.3), 2)
         x = q.fidelity_operator_recovery(q.random_isometry(2, 4, 5), noise)
-        start = q.random_cptp(4, 2, 4, np.random.default_rng(1), real=True)
+        start = real_channel(4, 2, 4, np.random.default_rng(1))
         ks = np.stack(start.kraus)
         assert ks.dtype == np.float64 and np.any(x.imag)
         res = one_member(x, ks, COMPLETENESS_TOL)
@@ -768,8 +795,8 @@ class TestInnerLoopTrustsItsInputs:
     @pytest.mark.parametrize("real", [False, True], ids=["complex128", "float64"])
     def test_recovery_batch(self, real):
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
-        x, starts = _starts(q.leung_encoder(), noise, 8, ())
-        ks, _ = _pad(starts)
+        x, start = _transpose_problem(q.leung_encoder(), noise)
+        ks = _pad([start] + real_starts(16, 2, 8))
         if not real:
             x, ks = x.astype(complex), ks.astype(complex)
         best, f, _, _ = without_boundary_checks(_power_batch, np.stack([x] * len(ks)), ks,

@@ -4,6 +4,7 @@ Hermitian eigendecomposition that ``from_choi`` does at the boundary."""
 import numpy as np
 import pytest
 
+from dense import real_channel
 from seesawqec import linalg
 from seesawqec.channels import ChoiMatrix, amplitude_damping, from_choi, to_choi
 from seesawqec.optimizer import random_cptp
@@ -106,7 +107,7 @@ class TestRealInput:
         assert r.dtype == np.float64
         np.testing.assert_allclose(r, linalg.inv_sqrt_psd(m.astype(complex), 1e-12),
                                    atol=1e-12)
-        u = np.stack([k.ravel() for k in random_cptp(2, 3, 6, rng, real=True).kraus])
+        u = np.stack([k.ravel() for k in real_channel(2, 3, 6, rng).kraus])
         ks = from_choi(ChoiMatrix(u.T @ u, 2, 3)).kraus
         v = np.stack([k.ravel() for k in ks])
         assert v.dtype == np.float64

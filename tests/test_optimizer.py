@@ -11,7 +11,8 @@ from dense import fidelity_operator_encoding
 from oracle import oracle_optimize
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.codes import ISOMETRY_TOL
-from seesawqec.optimizer import INNER_TOL, _fidelities, _multistarts, _power_batch, _starts
+from seesawqec.optimizer import (INNER_TOL, _fidelities, _multistarts, _power_batch,
+                                 _transpose_problem)
 
 
 def random_channel(d_in, d_out, rank, seed):
@@ -102,10 +103,11 @@ class TestFidelityOperators:
         assert abs(np.trace(y).real - expect) < 1e-10
 
     def test_perfect_correction_through_noiseless_operator(self):
+        # The transpose start under no noise inverts the code.
         iso = q.random_isometry(2, 8, 42)
         noise = q.identity_channel(8)
         x = q.fidelity_operator_recovery(iso, noise)
-        f = quadratic_fidelity(x, q.reversal_recovery(iso))
+        f = quadratic_fidelity(x, q.Channel(_transpose_problem(iso, noise)[1]))
         assert abs(f - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -158,7 +160,7 @@ class TestOptimizeEncodingIsometric:
     def test_noiseless_stays_optimal(self):
         noise = q.identity_channel(8)
         iso = q.random_isometry(2, 8, 13)
-        rec = q.reversal_recovery(iso)
+        rec = q.Channel(_transpose_problem(iso, noise)[1])
         y = fidelity_operator_encoding(rec, noise)
         out, f, _, _ = optimize_isometry(y, iso)
         assert f >= 1.0 - 1e-10
@@ -234,10 +236,11 @@ class TestCertificate:
         assert max(gaps) <= 1e-6, dict(zip(gammas.round(2).tolist(), gaps))
 
     def test_gap_is_large_at_a_poor_recovery(self):
-        # The reversal recovery of the 4-qubit code is far from optimal at gamma = 0.2.
+        # Keeping the first qubit is far from the optimal recovery of the
+        # 4-qubit code at gamma = 0.2.
         enc = q.leung_encoder()
         x = q.fidelity_operator_recovery(enc, q.tensor_power(q.amplitude_damping(0.2), 4))
-        assert recovery_gap(x, q.reversal_recovery(enc).kraus) > 1e-3
+        assert recovery_gap(x, q.partial_trace_recovery(4).kraus) > 1e-3
 
 
 class TestSeesaw:
@@ -249,6 +252,26 @@ class TestSeesaw:
             res = q.seesaw(q.amplitude_damping(0.0), n, q.SolveOptions())
             assert res.fidelity == 1.0 and res.converged, n
             np.testing.assert_array_equal(res.encoder.v, q.trivial_embedding(n).v)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.55, 0.95, 1.0])
+    def test_dominance_by_construction(self, gamma):
+        # The 4-qubit-code restart starts at the fixed-code curve's value,
+        # bit for bit, and the trivial restart at the no-coding value.  The
+        # kernel's quadratic form ends one ulp below the closed form at 0.95.
+        opts = q.SolveOptions(seed=7, restarts=2, max_outer_rounds=1)
+        traces = q.seesaw(q.amplitude_damping(gamma), 4, opts).restart_traces
+        noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+        assert traces[1][0] == fixed_code_recovery(noise).fidelity
+        assert traces[0][0] >= (1 + np.sqrt(1 - gamma)) ** 2 / 4 - 1e-16
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.3])
+    def test_two_copies_reach_no_coding(self, gamma):
+        # The benchmark smoke test's small seesaw.  With every restart on a
+        # transpose start, the trivial code's start stalled below no coding
+        # at gamma = 0.2 (0.8972101644 < 0.8972135955).
+        opts = q.SolveOptions(seed=0, restarts=2, max_outer_rounds=20)
+        res = q.seesaw(q.amplitude_damping(gamma), 2, opts)
+        assert res.fidelity >= q.channel_fidelity(q.amplitude_damping(gamma))
 
     def test_full_damping_endpoint(self):
         res = q.seesaw(q.amplitude_damping(1.0), 4, q.SolveOptions(seed=7))
@@ -311,7 +334,7 @@ class TestSeesaw:
         assert warm.restarts_used == opts.restarts + 1
         # The warm start is the restart after the two fixed seeds.
         noise = q.tensor_power(q.amplitude_damping(0.35), 4)
-        start = _multistarts([_starts(first.encoder, noise, opts.seed + 2, ())])[0]
+        start = _multistarts([_transpose_problem(first.encoder, noise)])[0]
         assert abs(warm.restart_traces[2][0] - start.fidelity) < 1e-12
 
     @pytest.mark.parametrize("n, restarts, warm, used", [(4, 1, 0, 2), (3, 1, 0, 1),
@@ -422,11 +445,6 @@ class TestRandomCptp:
             c = q.random_cptp(16, 2, 16, rng)
             s = sum(k.conj().T @ k for k in c.kraus)
             np.testing.assert_allclose(s, np.eye(16), atol=1e-9)
-
-    def test_real_draw_is_float64_and_complete(self):
-        c = q.random_cptp(16, 2, 16, np.random.default_rng(0), real=True)
-        assert all(k.dtype == np.float64 for k in c.kraus)
-        np.testing.assert_allclose(sum(k.T @ k for k in c.kraus), np.eye(16), atol=1e-9)
 
     def test_rejects_insufficient_rank(self):
         with pytest.raises(ValueError, match="rank"):
