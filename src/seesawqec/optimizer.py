@@ -23,10 +23,10 @@ round whose halves ran at ``INNER_TOL``.
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the recovery problems of several gamma
 points (a whole fixed-code curve, a bounded number of points per batch)
-or of a seesaw's restarts, or every live restart of a seesaw, in
-lockstep.  At a given padding width
-of the Kraus stacks, each member's arithmetic is the same whatever else
-is in the batch, so results do not depend on how the batch was composed.
+or of a seesaw's restarts, or every live restart of a seesaw shard
+(below), in lockstep.  At a given padding width of the Kraus stacks,
+each member's arithmetic is the same whatever else is in the batch, so
+results do not depend on how the batch was composed.
 
 The kernel's inputs are built once per batch.  The recovery half's
 operators come from one stacked dense product over the batch's encoders
@@ -48,6 +48,10 @@ power step's ``eigh`` and matmuls are cheaper; any other runs in
 complex128.
 The data sets the field: the kernel works in the result type of its
 inputs, and a multistart batch ends where the field changes.
+
+A seesaw's restarts never read each other's state, so its rounds run in
+one shard of restarts per CPU of the process's affinity mask, in this
+process and in forked workers (:func:`seesawqec.workers.map_rows`).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ import numpy as np
 from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real, tensor_power
 from .codes import ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery, trivial_embedding
 from .linalg import inv_sqrt_psd
+from .workers import map_rows
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
@@ -511,6 +516,73 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, np.ndarray]]) -> List[Half
     return out
 
 
+def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, nks: np.ndarray,
+            a1: np.ndarray, n: int, opts: SolveOptions):
+    """The lockstep seesaw rounds of restarts with encoders enc [B, 1, 2^n, 2],
+    recoveries rec [B, K, 2, 2^n] and start values f0 [B] (see :func:`seesaw`).
+
+    Returns one ``(best_enc, best_rec, best_f, converged, trace,
+    iterations)`` per restart: its best pair, their value, whether it
+    converged, its trace and its power steps.  ``enc`` and ``rec`` are
+    overwritten.
+    """
+    traces = [[f] for f in f0.tolist()]
+    best_enc, best_rec, best_f = enc.copy(), rec.copy(), f0.copy()
+    iters = np.zeros(len(enc), dtype=int)
+    # Per restart: the encoder half's last output E' and the number k of
+    # rounds since the last fallback, which set the extrapolation below,
+    # and its gain over its last round, which sets its halves' stop
+    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).  The live restarts
+    # have all run the same number of rounds.
+    e_half = enc.copy()
+    k = np.zeros(len(enc))
+    gain = np.zeros(len(enc))
+    converged = np.zeros(len(enc), dtype=bool)
+    live = np.arange(len(enc))
+    for _ in range(opts.max_outer_rounds):
+        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
+        rec_start = rec[live]
+        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n), enc[live],
+                                             ISOMETRY_TOL, stop_tol)
+        # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
+        kl = k[live]
+        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
+        e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
+        ext = ok & (kl > 0)
+        e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
+        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start,
+                                             COMPLETENESS_TOL, stop_tol)
+        iters[live] += it_e + it_r
+        # A round that ends below f_e redoes its recovery half at E'.
+        back = ext & (f_r < f_e)
+        if back.any():
+            rec_new[back], f_r[back], it_b, _ = _power_batch(
+                _recovery_operators(enc_new[back], nks), rec_start[back],
+                COMPLETENESS_TOL, stop_tol[back])
+            e_y[back] = enc_new[back]
+            iters[live[back]] += it_b
+        k[live] = np.where(back, 0, kl + 1)
+        e_half[live], enc[live], rec[live] = enc_new, e_y, rec_new
+        # Each trace records the round's two values, never below its last.
+        last = np.array([traces[i][-1] for i in live])
+        f_e = np.maximum(f_e, last)
+        f_r = np.maximum(f_r, f_e)
+        for i, pair in zip(live, np.column_stack((f_e, f_r)).tolist()):
+            traces[i] += pair
+        up = f_r > best_f[live]
+        best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
+        # A small gain counts only from a round whose halves ran at the
+        # floor INNER_TOL; after a looser round, one more round decides.
+        gain[live] = g = f_r - last
+        done = (g < opts.outer_tol) & (stop_tol == INNER_TOL)
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return list(zip(best_enc, best_rec, best_f.tolist(), converged.tolist(), traces,
+                    iters.tolist()))
+
+
 def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
            warm: Optional[Isometry] = None) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
@@ -556,16 +628,24 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     half's value, and (E_y, recovery) is both the next round's start and
     the pair whose fidelity is recorded.
 
-    The restarts run in lockstep: after the restarts' first recovery
-    halves (one :func:`_multistarts` call; real-valued restarts, such as
-    the trivial and 4-qubit-code ones, run in their own float64 batch),
-    each round
-    runs one encoder-half batch and one recovery-half batch over the
-    restarts still going, plus one more recovery-half batch over those
-    that fall back.  Restart i's state (encoder, recovery, last E', k,
-    gain and best pair so far) is row i of stacked arrays; a round reads
-    and writes the rows of the restarts still going, and only the traces
-    are per-restart lists.
+    The restarts' first recovery halves run in one :func:`_multistarts`
+    call (real-valued restarts, such as the trivial and 4-qubit-code
+    ones, run in their own float64 batch).  The rounds then run in s
+    shards (:func:`seesawqec.workers.map_rows`): s is the number of CPUs
+    in the process's affinity mask, at most the number of restarts, and
+    1 where ``os.fork`` does not exist or the process runs another
+    Python thread.  Restart i goes to shard i mod s; this process runs
+    shard 0 and a forked worker each other one.  No worker outlives the
+    call, and a worker's exception raises
+    :class:`seesawqec.workers.WorkerError`.  Within a shard the restarts
+    run in lockstep (:func:`_rounds`): each round runs one encoder-half
+    batch and one recovery-half batch over the restarts still going,
+    plus one more recovery-half batch over those that fall back.  A
+    restart's state (encoder, recovery, last E', k, gain and best pair
+    so far) is a row of stacked arrays, and only the traces are
+    per-restart lists.  At a given padding width a member's arithmetic
+    does not depend on its batch, so the result is bit-identical for any
+    s.
     """
     if not isinstance(noise_single, Channel):
         raise ValueError(f"noise_single must be a Channel, got {type(noise_single).__name__}")
@@ -586,7 +666,7 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     results = _multistarts(
         _recovery_problem(iso, noise, partial_trace_recovery(n).kraus) if idx == 0
         else _transpose_problem(iso, noise) for idx, iso in enumerate(seeds))
-    traces = [[res.fidelity] for res in results]
+    f0 = np.array([res.fidelity for res in results])
     total_iters = sum(res.iterations for res in results)
     # Restart i is row i of every stacked array.  Recoveries are padded to
     # the noise channel's Kraus count, or wider where a start needs more
@@ -596,64 +676,17 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     rec = _pad([res.channel.kraus for res in results], len(nks)).astype(complex, copy=False)
     del results     # not held through the rounds
     enc = np.stack([iso.kraus for iso in seeds])
-    best_enc, best_rec, best_f = enc.copy(), rec.copy(), np.array([t[0] for t in traces])
 
-    # Per restart: the encoder half's last output E' and the number k of
-    # rounds since the last fallback, which set the extrapolation below,
-    # and its gain over its last round, which sets its halves' stop
-    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).  The live restarts
-    # have all run the same number of rounds.
-    e_half = enc.copy()
-    k = np.zeros(len(seeds))
-    gain = np.zeros(len(seeds))
-    converged = np.zeros(len(seeds), dtype=bool)
-    live = np.arange(len(seeds))
-    for _ in range(opts.max_outer_rounds):
-        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
-        rec_start = rec[live]
-        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n), enc[live],
-                                             ISOMETRY_TOL, stop_tol)
-        # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
-        kl = k[live]
-        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
-        e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
-        ext = ok & (kl > 0)
-        e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
-        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start,
-                                             COMPLETENESS_TOL, stop_tol)
-        total_iters += int(it_e.sum() + it_r.sum())
-        # A round that ends below f_e redoes its recovery half at E'.
-        back = ext & (f_r < f_e)
-        if back.any():
-            rec_new[back], f_r[back], it_b, _ = _power_batch(
-                _recovery_operators(enc_new[back], nks), rec_start[back],
-                COMPLETENESS_TOL, stop_tol[back])
-            e_y[back] = enc_new[back]
-            total_iters += int(it_b.sum())
-        k[live] = np.where(back, 0, kl + 1)
-        e_half[live], enc[live], rec[live] = enc_new, e_y, rec_new
-        # Each trace records the round's two values, never below its last.
-        last = np.array([traces[i][-1] for i in live])
-        f_e = np.maximum(f_e, last)
-        f_r = np.maximum(f_r, f_e)
-        for i, pair in zip(live, np.column_stack((f_e, f_r)).tolist()):
-            traces[i] += pair
-        up = f_r > best_f[live]
-        best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
-        # A small gain counts only from a round whose halves ran at the
-        # floor INNER_TOL; after a looser round, one more round decides.
-        gain[live] = g = f_r - last
-        done = (g < opts.outer_tol) & (stop_tol == INNER_TOL)
-        converged[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
+    # The restarts' rounds, split over worker processes.  A shard's rows
+    # are views, so this process's shard runs in place.
+    best_enc, best_rec, best_f, converged, traces, iters = zip(*map_rows(
+        lambda rows: _rounds(enc[rows], rec[rows], f0[rows], nks, a1, n, opts), len(seeds)))
 
     win = _first_best(best_f)
     return SeesawResult(
-        recovery=_nonzero(best_rec[win]), fidelity=float(best_f[win]),
-        restarts_used=len(seeds), converged=bool(converged[win]),
+        recovery=_nonzero(best_rec[win]), fidelity=best_f[win],
+        restarts_used=len(seeds), converged=converged[win],
         best_restart_seed=opts.seed + win,
-        encoder=Isometry(best_enc[win, 0]),
-        inner_iterations_total=total_iters, outer_rounds=len(traces[win]) // 2,
-        restart_traces=traces)
+        encoder=Isometry(best_enc[win][0]),
+        inner_iterations_total=total_iters + sum(iters), outer_rounds=len(traces[win]) // 2,
+        restart_traces=list(traces))

@@ -4,12 +4,15 @@ a one-restart loop of its extrapolated round, the independence of the
 lockstep multistart and seesaw from how their batches are composed, and
 the stacked operator builds and starts that feed them."""
 
+import os
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 import seesawqec as q
+from seesawqec import workers
 from dense import fidelity_operator_encoding, real_channel
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.cli import SweepConfig, run_sweep
@@ -501,10 +504,126 @@ class TestLockstepSeesaw:
 
         monkeypatch.setattr(q.optimizer, "_multistarts", multistarts)
         monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
+        # One shard, so that every round runs in this process.
+        monkeypatch.setattr(workers, "cpu_count", lambda: 1)
         opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3)
         q.seesaw(q.amplitude_damping(0.3), 3, opts)
         # Each round's encoder half and recovery half; no fallback here.
         assert len(refs) == 3 and alive == [0] * 6
+
+
+def pin_workers(monkeypatch, k):
+    """Make the seesaw see k CPUs, and return the pids of the workers it forks."""
+    pids = []
+
+    def fork(_original=os.fork):
+        pid = _original()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(workers, "cpu_count", lambda: k)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestShardedRounds:
+    """The seesaw's rounds split over forked workers, restart i in shard i mod k."""
+
+    @pytest.mark.parametrize("n, gamma, restarts, warm", [
+        (4, 0.3, 4, True), (2, 0.3, 3, False),
+        # A random code's transpose start pads every row to 16 + 8 operators.
+        (4, 1.0, 3, False)], ids=["n4-0.3-warm", "n2-0.3", "n4-1.0"])
+    def test_any_shard_count_gives_the_same_result(self, monkeypatch, n, gamma, restarts, warm):
+        opts = q.SolveOptions(seed=7, restarts=restarts, max_outer_rounds=40)
+        start = None
+        if warm:
+            start = q.seesaw(q.amplitude_damping(0.25), n, opts).encoder
+        results = []
+        for k in (1, 2, 3):
+            pids = pin_workers(monkeypatch, k)
+            results.append(q.seesaw(q.amplitude_damping(gamma), n, opts, start))
+            # Three shards of four or five restarts are uneven.
+            assert len(pids) == k - 1
+            assert_reaped(pids)
+        ref = results[0]
+        for res in results[1:]:
+            assert res.restart_traces == ref.restart_traces
+            for name in ("fidelity", "best_restart_seed", "converged", "outer_rounds",
+                         "inner_iterations_total", "restarts_used"):
+                assert getattr(res, name) == getattr(ref, name), name
+            np.testing.assert_array_equal(res.encoder.v, ref.encoder.v)
+            np.testing.assert_array_equal(res.recovery.kraus, ref.recovery.kraus)
+
+    def test_a_failure_inside_a_worker_is_named_and_every_worker_is_reaped(self, monkeypatch):
+        pids = pin_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def kernel(*args, _original=q.optimizer._power_batch):
+            if os.getpid() != parent:
+                raise FloatingPointError("injected in a worker")
+            return _original(*args)
+
+        monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
+        opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3)
+        with pytest.raises(q.WorkerError, match="FloatingPointError: injected in a worker"):
+            q.seesaw(q.amplitude_damping(0.3), 3, opts)
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_workers_are_killed_when_the_caller_is_interrupted(self, monkeypatch):
+        pids = pin_workers(monkeypatch, 2)
+        parent = os.getpid()
+
+        def kernel(*args, _original=q.optimizer._power_batch):
+            if os.getpid() == parent and pids:     # the caller's shard, after the fork
+                raise KeyboardInterrupt
+            return _original(*args)
+
+        monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
+        with pytest.raises(KeyboardInterrupt):
+            q.seesaw(q.amplitude_damping(0.3), 3, q.SolveOptions(seed=7, restarts=3))
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_one_cpu_runs_without_a_worker(self, monkeypatch):
+        pids = pin_workers(monkeypatch, 1)
+        opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3)
+        q.seesaw(q.amplitude_damping(0.3), 3, opts)
+        assert pids == []
+
+    def test_a_second_python_thread_runs_without_a_worker(self, monkeypatch):
+        pids = pin_workers(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            q.seesaw(q.amplitude_damping(0.3), 3,
+                     q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and pids == []
+
+    def test_no_fork_runs_without_a_worker(self, monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        res = q.seesaw(q.amplitude_damping(0.3), 3,
+                       q.SolveOptions(seed=7, restarts=3, max_outer_rounds=3))
+        assert res.restarts_used == 3
+
+    def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert workers.cpu_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert workers.cpu_count() == 5
 
 
 class TestBatchedMultistart:
