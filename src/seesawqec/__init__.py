@@ -8,6 +8,7 @@ from .channels import (Channel, ChoiMatrix, amplitude_damping, apply,
 from .codes import Isometry, leung_encoder, partial_trace_recovery, trivial_embedding
 from .optimizer import (HalfResult, SeesawResult, SolveOptions, fidelity_operator_recovery,
                         optimize_recovery_multistarts, random_cptp, random_isometry, seesaw)
+from .grid import ColdRestarts, cold_restarts
 from .workers import WorkerError
 
 __all__ = [
@@ -16,8 +17,9 @@ __all__ = [
     "tensor_power", "to_choi",
     "Isometry", "leung_encoder", "partial_trace_recovery", "random_isometry",
     "trivial_embedding",
-    "HalfResult", "SeesawResult", "SolveOptions", "WorkerError", "fidelity_operator_recovery",
-    "optimize_recovery_multistarts", "random_cptp", "seesaw",
+    "ColdRestarts", "HalfResult", "SeesawResult", "SolveOptions", "WorkerError",
+    "cold_restarts", "fidelity_operator_recovery", "optimize_recovery_multistarts",
+    "random_cptp", "seesaw",
 ]
 
 __version__ = "0.1.0"

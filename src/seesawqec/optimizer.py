@@ -23,15 +23,17 @@ round whose halves ran at ``INNER_TOL``.
 One stacked kernel (:func:`_power_batch`) runs the power step for a
 batch of half-problems at once: the recovery problems of several gamma
 points (a whole fixed-code curve, a bounded number of points per batch)
-or of a seesaw's restarts, or every live restart of a seesaw shard
-(below), in lockstep.  At a given padding width of the Kraus stacks,
-each member's arithmetic is the same whatever else is in the batch, so
-results do not depend on how the batch was composed.
+or of a seesaw point's restarts, or the live restarts of one lockstep
+pass over several seesaw points (below), in lockstep.  At a given
+padding width of the Kraus stacks, each member's arithmetic is the same
+whatever else is in the batch, so results do not depend on how the
+batch was composed.
 
-The kernel's inputs are built once per batch.  The recovery half's
-operators come from one stacked dense product over the batch's encoders
+The kernel's inputs are built once per batch, for the rows of each
+gamma point in it at once (:func:`_per_gamma`).  The recovery half's
+operators come from one stacked dense product over those rows' encoders
 (:func:`_recovery_operators`).  The seesaw's encoding-half operators are
-built qubit by qubit for every live restart at once: each recovery's
+built qubit by qubit for those rows' restarts at once: each recovery's
 Choi matrix is pushed through the single-qubit transfer matrix of the
 noise on one qubit at a time (:func:`_encoding_operators`), so the
 2^n-operator tensor power is never multiplied out for that half.
@@ -49,23 +51,27 @@ complex128.
 The data sets the field: the kernel works in the result type of its
 inputs, and a multistart batch ends where the field changes.
 
-A seesaw's restarts never read each other's state, so its rounds run in
-one shard of restarts per CPU of the process's affinity mask, in this
-process and in forked workers (:func:`seesawqec.workers.map_rows`).
+A seesaw's restarts never read each other's state, and all but the
+warm start read nothing from another gamma point.  So the rounds of
+those cold restarts run for several gamma points at once, in one shard
+of restarts per CPU of the process's affinity mask, in this process and
+in forked workers (:mod:`seesawqec.grid`, :func:`seesawqec.workers.map_rows`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real, tensor_power
-from .codes import ISOMETRY_TOL, Isometry, leung_encoder, partial_trace_recovery, trivial_embedding
+from .codes import ISOMETRY_TOL, Isometry
 from .linalg import inv_sqrt_psd
-from .workers import map_rows
+
+if TYPE_CHECKING:
+    from .grid import ColdRestarts
 
 # w = vec(K^dag) coincides with conj(K.ravel()) under the column-stacking
 # convention; the helpers below rely on that identity.
@@ -375,16 +381,6 @@ def random_isometry(d_in: int, d_out: int, seed: int) -> Isometry:
     return Isometry(random_cptp(d_in, d_out, 1, np.random.default_rng(seed)).kraus[0])
 
 
-def _seed_isometries(n: int, opts: SolveOptions, warm: Optional[Isometry]) -> List[Isometry]:
-    # Trivial embedding first: at the fully-damped endpoint every recovery
-    # ties to machine precision and the lowest restart index wins, so the
-    # exact-arithmetic no-coding restart must be index 0.
-    fixed = [trivial_embedding(n)] + ([leung_encoder()] if n == 4 else [])
-    return fixed + ([] if warm is None else [warm]) + [
-        random_isometry(2, 2 ** n, opts.seed + 1000 + j)
-        for j in range(opts.restarts - len(fixed))]
-
-
 def _pad(stacks: Sequence[np.ndarray], width: int = 0) -> np.ndarray:
     """Stack Kraus stacks of different counts, zero-padded to the widest or to ``width``.
 
@@ -516,10 +512,21 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, np.ndarray]]) -> List[Half
     return out
 
 
-def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, nks: np.ndarray,
-            a1: np.ndarray, n: int, opts: SolveOptions):
+def _per_gamma(build, stack: np.ndarray, g: np.ndarray, per: Sequence, *args) -> np.ndarray:
+    """``build(rows, per[j], *args)`` over the rows of ``stack`` whose gamma
+    index in the sorted ``g`` is j, for each j, stacked in row order."""
+    cut = np.flatnonzero(np.diff(g)) + 1
+    parts = [build(s, per[j[0]], *args) for s, j in zip(np.split(stack, cut), np.split(g, cut))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, g: np.ndarray,
+            nks: Sequence[np.ndarray], a1: Sequence[np.ndarray], n: int, opts: SolveOptions):
     """The lockstep seesaw rounds of restarts with encoders enc [B, 1, 2^n, 2],
-    recoveries rec [B, K, 2, 2^n] and start values f0 [B] (see :func:`seesaw`).
+    recoveries rec [B, K, 2, 2^n], start values f0 [B] and sorted gamma
+    indices g [B] (see :func:`seesaw`).  Gamma j has the noise Kraus stack
+    ``nks[j]`` and the single-qubit one ``a1[j]``; each round builds every
+    operator per gamma and runs each half over all live restarts at once.
 
     Returns one ``(best_enc, best_rec, best_f, converged, trace,
     iterations)`` per restart: its best pair, their value, whether it
@@ -541,23 +548,26 @@ def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, nks: np.ndarray,
     live = np.arange(len(enc))
     for _ in range(opts.max_outer_rounds):
         stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
-        rec_start = rec[live]
-        enc_new, f_e, it_e, _ = _power_batch(_encoding_operators(rec_start, a1, n), enc[live],
-                                             ISOMETRY_TOL, stop_tol)
+        # While every restart runs, rec itself is the start; it is
+        # overwritten only at the end of the round.
+        rec_start = rec if len(live) == len(rec) else rec[live]
+        gl = g[live]
+        enc_new, f_e, it_e, _ = _power_batch(_per_gamma(_encoding_operators, rec_start, gl, a1, n),
+                                             enc[live], ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
         kl = k[live]
         y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
         e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
         ext = ok & (kl > 0)
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
-        rec_new, f_r, it_r, _ = _power_batch(_recovery_operators(e_y, nks), rec_start,
-                                             COMPLETENESS_TOL, stop_tol)
+        rec_new, f_r, it_r, _ = _power_batch(_per_gamma(_recovery_operators, e_y, gl, nks),
+                                             rec_start, COMPLETENESS_TOL, stop_tol)
         iters[live] += it_e + it_r
         # A round that ends below f_e redoes its recovery half at E'.
         back = ext & (f_r < f_e)
         if back.any():
             rec_new[back], f_r[back], it_b, _ = _power_batch(
-                _recovery_operators(enc_new[back], nks), rec_start[back],
+                _per_gamma(_recovery_operators, enc_new[back], gl[back], nks), rec_start[back],
                 COMPLETENESS_TOL, stop_tol[back])
             e_y[back] = enc_new[back]
             iters[live[back]] += it_b
@@ -573,8 +583,8 @@ def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, nks: np.ndarray,
         best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
         # A small gain counts only from a round whose halves ran at the
         # floor INNER_TOL; after a looser round, one more round decides.
-        gain[live] = g = f_r - last
-        done = (g < opts.outer_tol) & (stop_tol == INNER_TOL)
+        gain[live] = gain_l = f_r - last
+        done = (gain_l < opts.outer_tol) & (stop_tol == INNER_TOL)
         converged[live[done]] = True
         live = live[~done]
         if not live.size:
@@ -584,7 +594,7 @@ def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, nks: np.ndarray,
 
 
 def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
-           warm: Optional[Isometry] = None) -> SeesawResult:
+           warm: Optional[Isometry] = None, cold: Optional[ColdRestarts] = None) -> SeesawResult:
     """Alternating optimization of encoder and recovery over n channel uses.
 
     Restart seeds, in restart order: the trivial embedding (restart 0),
@@ -598,6 +608,14 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     (below) gains less than ``outer_tol`` (converged) or
     ``max_outer_rounds`` is reached.  The best restart wins; ties go to
     the lowest index.
+
+    Every restart but the warm one is a cold restart: it reads nothing
+    from another grid point.  ``cold`` is this point's entry of
+    :func:`seesawqec.grid.cold_restarts` for the same ``noise_single``,
+    ``n`` and ``opts``, whose cold restarts have already run to the end;
+    the call then runs only the warm restart and picks the winner.
+    Without ``cold``, the call runs its cold restarts through that
+    function first, so both ways give the same bits.
 
     Each restart solves its first recovery half from one start.  Restart
     0 starts from the partial-trace recovery, which gives the no-coding
@@ -628,65 +646,37 @@ def seesaw(noise_single: Channel, n: int, opts: SolveOptions,
     half's value, and (E_y, recovery) is both the next round's start and
     the pair whose fidelity is recorded.
 
-    The restarts' first recovery halves run in one :func:`_multistarts`
-    call (real-valued restarts, such as the trivial and 4-qubit-code
-    ones, run in their own float64 batch).  The rounds then run in s
-    shards (:func:`seesawqec.workers.map_rows`): s is the number of CPUs
-    in the process's affinity mask, at most the number of restarts, and
-    1 where ``os.fork`` does not exist or the process runs another
-    Python thread.  Restart i goes to shard i mod s; this process runs
-    shard 0 and a forked worker each other one.  No worker outlives the
-    call, and a worker's exception raises
-    :class:`seesawqec.workers.WorkerError`.  Within a shard the restarts
-    run in lockstep (:func:`_rounds`): each round runs one encoder-half
-    batch and one recovery-half batch over the restarts still going,
-    plus one more recovery-half batch over those that fall back.  A
-    restart's state (encoder, recovery, last E', k, gain and best pair
-    so far) is a row of stacked arrays, and only the traces are
-    per-restart lists.  At a given padding width a member's arithmetic
-    does not depend on its batch, so the result is bit-identical for any
-    s.
+    The cold restarts' rounds run in lockstep passes over one or more
+    grid points (:func:`seesawqec.grid.cold_restarts`), each split into
+    s shards (:func:`seesawqec.workers.map_rows`): s is the number of
+    CPUs in the process's affinity mask, at most the pass's number of
+    restarts, and 1 where ``os.fork`` does not exist or the process runs
+    another Python thread.  Restart i of a pass goes to shard i mod s;
+    this process runs shard 0 and a forked worker each other one.  No
+    worker outlives the pass, and a worker's exception raises
+    :class:`seesawqec.workers.WorkerError`.  The warm restart runs its
+    first recovery half and its rounds (:func:`_rounds`) alone in this
+    process, padded to the Kraus count of the cold restarts' rounds or
+    wider where it needs more.  A restart's state (encoder, recovery,
+    last E', k, gain and best pair so far) is a row of stacked arrays,
+    and only the traces are per-restart lists.  At a given padding width
+    a member's arithmetic does not depend on its batch, so the result
+    does not depend on how the restarts were batched or sharded.
     """
-    if not isinstance(noise_single, Channel):
-        raise ValueError(f"noise_single must be a Channel, got {type(noise_single).__name__}")
-    if not isinstance(opts, SolveOptions):
-        raise ValueError(f"opts must be a SolveOptions, got {type(opts).__name__}")
-    if noise_single.d_in != 2 or noise_single.d_out != 2:
-        raise ValueError("seesaw expects a single-qubit noise channel")
     if warm is not None and (not isinstance(warm, Isometry) or warm.v.shape != (2 ** n, 2)):
         shape = warm.v.shape if isinstance(warm, Isometry) else type(warm).__name__
         raise ValueError(f"warm start must be a 2 -> {2 ** n} isometry for n = {n}, "
                          f"got {shape}")
-
-    noise = tensor_power(noise_single, n)
-    nks, a1 = noise.kraus, noise_single.kraus
-    seeds = _seed_isometries(n, opts, warm)
-
-    # One start per restart (see above).
-    results = _multistarts(
-        _recovery_problem(iso, noise, partial_trace_recovery(n).kraus) if idx == 0
-        else _transpose_problem(iso, noise) for idx, iso in enumerate(seeds))
-    f0 = np.array([res.fidelity for res in results])
-    total_iters = sum(res.iterations for res in results)
-    # Restart i is row i of every stacked array.  Recoveries are padded to
-    # the noise channel's Kraus count, or wider where a start needs more
-    # operators (a random code's transpose start at full damping), and made
-    # complex, since a round's recovery half runs at a complex encoder even
-    # where every start is real.
-    rec = _pad([res.channel.kraus for res in results], len(nks)).astype(complex, copy=False)
-    del results     # not held through the rounds
-    enc = np.stack([iso.kraus for iso in seeds])
-
-    # The restarts' rounds, split over worker processes.  A shard's rows
-    # are views, so this process's shard runs in place.
-    best_enc, best_rec, best_f, converged, traces, iters = zip(*map_rows(
-        lambda rows: _rounds(enc[rows], rec[rows], f0[rows], nks, a1, n, opts), len(seeds)))
+    # Imported here: seesawqec.grid imports this module.
+    from .grid import _restart_rows
+    rows = _restart_rows(noise_single, n, opts, warm, cold)
+    best_enc, best_rec, best_f, converged, traces, iters = zip(*rows)
 
     win = _first_best(best_f)
     return SeesawResult(
         recovery=_nonzero(best_rec[win]), fidelity=best_f[win],
-        restarts_used=len(seeds), converged=converged[win],
+        restarts_used=len(rows), converged=converged[win],
         best_restart_seed=opts.seed + win,
         encoder=Isometry(best_enc[win][0]),
-        inner_iterations_total=total_iters + sum(iters), outer_rounds=len(traces[win]) // 2,
+        inner_iterations_total=sum(iters), outer_rounds=len(traces[win]) // 2,
         restart_traces=list(traces))

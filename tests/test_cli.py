@@ -127,6 +127,29 @@ class TestRunSweep:
                                      res.outer_rounds, res.restarts_used, res.converged)
         assert second.restarts_used == first.restarts_used + 1
 
+    def test_seesaw_is_called_once_per_gamma_in_grid_order(self, monkeypatch):
+        # A caller may wrap cli.seesaw to keep each point's result, as the
+        # benchmark does: the cold restarts run ahead, but every point
+        # still gets one call, in order, returning that point's result.
+        calls, original = [], cli.seesaw
+
+        def keep(noise_single, *args, **kwargs):
+            res = original(noise_single, *args, **kwargs)
+            calls.append((noise_single, res))
+            return res
+
+        monkeypatch.setattr(cli, "seesaw", keep)
+        config = SweepConfig(gamma_min=0.1, gamma_max=0.5, steps=5, copies=3, modes=("seesaw",),
+                             options=q.SolveOptions(seed=7, restarts=3, max_outer_rounds=20))
+        records = run_sweep(config)
+        assert len(calls) == len(records) == config.steps
+        for r, (noise_single, res) in zip(records, calls):
+            np.testing.assert_array_equal(noise_single.kraus, q.amplitude_damping(r.gamma).kraus)
+            assert res.fidelity == r.fidelity
+            noise = q.tensor_power(noise_single, config.copies)
+            f = q.channel_fidelity(q.compose(q.compose(res.encoder, noise), res.recovery))
+            assert abs(f - r.fidelity) < 1e-9
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 import seesawqec as q
-from seesawqec import workers
+from seesawqec import cli, grid, workers
 from dense import fidelity_operator_encoding, real_channel
 from seesawqec.channels import COMPLETENESS_TOL
 from seesawqec.cli import SweepConfig, run_sweep
 from seesawqec.codes import ISOMETRY_TOL
+from seesawqec.grid import _seed_isometries
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (INNER_TOL, MULTISTART_BATCH, SEESAW_KAPPA,
                                  _encoding_operators, _lowdin, _multistarts, _pad,
                                  _power_batch, _recovery_operators, _recovery_problem,
-                                 _renormalize, _seed_isometries, _transpose_problem)
+                                 _renormalize, _transpose_problem)
 
 
 def reference_renormalize(ks, tol):
@@ -399,7 +400,7 @@ def exact_reference_restart(noise, iso, rec, f0, opts):
 def seesaw_starts(noise, n, opts):
     """(seed isometry, first recovery half) of each restart of seesaw(n)."""
     return [(iso, one_problem(restart_problem(idx, iso, noise, n)))
-            for idx, iso in enumerate(_seed_isometries(n, opts, None))]
+            for idx, iso in enumerate(_seed_isometries(n, opts))]
 
 
 class TestExtrapolatedSeesaw:
@@ -502,7 +503,8 @@ class TestLockstepSeesaw:
                 alive.append(sum(ref() is not None for ref in refs))
             return _original(*args)
 
-        monkeypatch.setattr(q.optimizer, "_multistarts", multistarts)
+        # The cold restarts' first halves run in seesawqec.grid.
+        monkeypatch.setattr(q.grid, "_multistarts", multistarts)
         monkeypatch.setattr(q.optimizer, "_power_batch", kernel)
         # One shard, so that every round runs in this process.
         monkeypatch.setattr(workers, "cpu_count", lambda: 1)
@@ -533,6 +535,16 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def assert_same_result(res, ref):
+    """Every field of two SeesawResults is equal, bit for bit."""
+    assert res.restart_traces == ref.restart_traces
+    for name in ("fidelity", "best_restart_seed", "converged", "outer_rounds",
+                 "inner_iterations_total", "restarts_used"):
+        assert getattr(res, name) == getattr(ref, name), name
+    np.testing.assert_array_equal(res.encoder.v, ref.encoder.v)
+    np.testing.assert_array_equal(res.recovery.kraus, ref.recovery.kraus)
+
+
 class TestShardedRounds:
     """The seesaw's rounds split over forked workers, restart i in shard i mod k."""
 
@@ -552,14 +564,8 @@ class TestShardedRounds:
             # Three shards of four or five restarts are uneven.
             assert len(pids) == k - 1
             assert_reaped(pids)
-        ref = results[0]
         for res in results[1:]:
-            assert res.restart_traces == ref.restart_traces
-            for name in ("fidelity", "best_restart_seed", "converged", "outer_rounds",
-                         "inner_iterations_total", "restarts_used"):
-                assert getattr(res, name) == getattr(ref, name), name
-            np.testing.assert_array_equal(res.encoder.v, ref.encoder.v)
-            np.testing.assert_array_equal(res.recovery.kraus, ref.recovery.kraus)
+            assert_same_result(res, results[0])
 
     def test_a_failure_inside_a_worker_is_named_and_every_worker_is_reaped(self, monkeypatch):
         pids = pin_workers(monkeypatch, 3)
@@ -624,6 +630,48 @@ class TestShardedRounds:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert workers.cpu_count() == 5
+
+
+class TestColdRestarts:
+    """The cold restarts of consecutive grid points in one lockstep pass."""
+
+    def test_sweep_equals_a_chain_of_one_point_calls(self, monkeypatch):
+        # Three cold restarts per point, so COLD_PASS_ROWS // 3 points share
+        # a pass below full damping; gamma = 1 runs in a pass of its own,
+        # since a random code's transpose start there needs 16 + 8 operators.
+        opts = q.SolveOptions(seed=7, restarts=3, max_outer_rounds=12)
+        config = SweepConfig(gamma_min=0.0, gamma_max=1.0, steps=21, copies=4,
+                             modes=("seesaw",), options=opts)
+        gammas = [float(g) for g in np.linspace(0.0, 1.0, 21)]
+        pin_workers(monkeypatch, 1)
+        chain, warm = [], None
+        for g in gammas:
+            chain.append(q.seesaw(q.amplitude_damping(g), 4, opts, warm))
+            warm = chain[-1].encoder
+        passes = -(-20 // (grid.COLD_PASS_ROWS // 3)) + 1
+        original = cli.seesaw
+        for k in (1, 2, 3):
+            pids = pin_workers(monkeypatch, k)
+            results, widths = [], []
+
+            def keep(*args, **kwargs):
+                widths.append(args[4].width)
+                results.append(original(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(cli, "seesaw", keep)
+            records = run_sweep(config)
+            # Each pass forks k - 1 workers; a warm restart runs alone, unforked.
+            assert len(pids) == passes * (k - 1)
+            assert_reaped(pids)
+            assert widths == [16] * 20 + [24]
+            assert [r.gamma for r in records] == gammas
+            for r, res, ref in zip(records, results, chain):
+                assert_same_result(res, ref)
+                assert (r.fidelity, r.inner_iterations_total, r.outer_rounds, r.restarts_used,
+                        r.converged) == (ref.fidelity, ref.inner_iterations_total,
+                                         ref.outer_rounds, ref.restarts_used, ref.converged)
+        assert chain[0].fidelity == 1.0 and chain[-1].fidelity == 0.25
 
 
 class TestBatchedMultistart:
@@ -720,13 +768,15 @@ class TestStackedBuilds:
 
 
 def count_start_builds(monkeypatch):
-    """Count the optimizer's calls of the transpose start and of random draws, by name."""
+    """Count the calls of the transpose start and of random draws, by name, in
+    the optimizer and in seesawqec.grid (the seesaw's cold restarts)."""
     calls = {"random_cptp": 0, "_transpose_problem": 0}
-    for name in calls:
-        def counted(*args, _original=getattr(q.optimizer, name), _name=name, **kwargs):
+    for module, name in [(q.optimizer, "random_cptp"), (q.optimizer, "_transpose_problem"),
+                         (q.grid, "_transpose_problem")]:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(q.optimizer, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -370,6 +370,27 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="opts must be a SolveOptions, got NoneType"):
             q.seesaw(q.amplitude_damping(0.3), 4, None)
 
+    def test_rejects_cold_restarts_of_another_problem(self):
+        opts = q.SolveOptions(seed=7, restarts=2, max_outer_rounds=2)
+        noise = q.amplitude_damping(0.3)
+        cold = next(q.cold_restarts([noise], 2, opts))
+        assert q.seesaw(noise, 2, opts, cold=cold).restarts_used == 2
+        for args in [(q.amplitude_damping(0.3), 2, opts), (noise, 3, opts),
+                     (noise, 2, q.SolveOptions(seed=8, restarts=2, max_outer_rounds=2))]:
+            with pytest.raises(ValueError, match="cold must be the cold_restarts entry"):
+                q.seesaw(*args, cold=cold)
+        with pytest.raises(ValueError, match="cold must be the cold_restarts entry"):
+            q.seesaw(noise, 2, opts, cold=[cold])
+
+    def test_cold_restarts_checks_every_channel_before_it_runs(self):
+        # The entries are computed as they are asked for; the inputs are
+        # checked at the call.
+        noises = [q.amplitude_damping(0.3), q.identity_channel(4)]
+        with pytest.raises(ValueError, match="single-qubit"):
+            q.cold_restarts(noises, 2, q.SolveOptions())
+        with pytest.raises(ValueError, match="opts must be a SolveOptions, got NoneType"):
+            q.cold_restarts(noises[:1], 2, None)
+
 
 class TestIdentity:
     def test_channels_and_results_compare_and_hash_by_identity(self):
