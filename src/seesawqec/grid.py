@@ -51,13 +51,15 @@ class ColdRestarts:
     ``n`` and ``opts``.  ``rows`` holds, in restart order, one (best
     encoder [1, 2^n, 2], best recovery [K, 2, 2^n], value, converged,
     trace, power steps) per restart; their rounds ran at ``width`` = K
-    Kraus operators."""
+    Kraus operators.  ``power`` is the n-fold tensor power of ``noise``
+    they ran under, which the point's warm restart reuses."""
 
     noise: Channel
     n: int
     opts: SolveOptions
     rows: List[tuple]
     width: int
+    power: Channel
 
 
 def _check_problem(noise_single: Channel, opts: SolveOptions) -> None:
@@ -177,7 +179,7 @@ def _passes(noises: List[Channel], n: int, opts: SolveOptions) -> Iterator[ColdR
             mine = zip(rows[j * len(seeds):(j + 1) * len(seeds)], steps[j])
             # A restart's power steps count its first recovery half's.
             out.append(ColdRestarts(single, n, opts, [row[:5] + (row[5] + it,) for row, it in mine],
-                                    width))
+                                    width, powers[j]))
         return out
 
     for noise_single in noises:
@@ -193,18 +195,18 @@ def _passes(noises: List[Channel], n: int, opts: SolveOptions) -> Iterator[ColdR
         yield from run()
 
 
-def _warm_row(warm: Isometry, noise_single: Channel, n: int, opts: SolveOptions,
-              width: int) -> tuple:
+def _warm_row(warm: Isometry, cold: ColdRestarts) -> tuple:
     """The row of the warm restart from encoder ``warm`` (as in
-    :class:`ColdRestarts`), run alone: its first recovery half from the
-    transpose start, then its rounds at the cold restarts' Kraus count
-    ``width``, or wider where its recovery needs more operators."""
-    noise = tensor_power(noise_single, n)
-    (half,) = _multistarts([_transpose_problem(warm, noise)])
-    rec = _pad([half.channel.kraus], width).astype(complex, copy=False)
+    :class:`ColdRestarts`) at the point of the entry ``cold``, run alone:
+    its first recovery half from the transpose start under the entry's
+    tensor power, then its rounds at the cold restarts' Kraus count
+    ``cold.width``, or wider where its recovery needs more operators."""
+    (half,) = _multistarts([_transpose_problem(warm, cold.power)])
+    rec = _pad([half.channel.kraus], cold.width).astype(complex, copy=False)
     f0, steps = np.array([half.fidelity]), half.iterations
     del half    # not held through the rounds
-    (row,) = _lockstep([noise_single], [noise], [warm.kraus[None], rec, f0], n, opts)
+    (row,) = _lockstep([cold.noise], [cold.power], [warm.kraus[None], rec, f0], cold.n,
+                       cold.opts)
     return row[:5] + (row[5] + steps,)
 
 
@@ -225,5 +227,5 @@ def _restart_rows(noise_single: Channel, n: int, opts: SolveOptions,
         raise ValueError("cold must be the cold_restarts entry of this noise_single, n and opts")
     rows = list(cold.rows)
     if warm is not None:
-        rows.insert(2 if n == 4 else 1, _warm_row(warm, noise_single, n, opts, cold.width))
+        rows.insert(2 if n == 4 else 1, _warm_row(warm, cold))
     return rows

@@ -27,7 +27,15 @@ or of a seesaw point's restarts, or the live restarts of one lockstep
 pass over several seesaw points (below), in lockstep.  At a given
 padding width of the Kraus stacks, each member's arithmetic is the same
 whatever else is in the batch, so results do not depend on how the
-batch was composed.
+batch was composed.  The kernel holds only its live members' state
+(iterate, last step, value, best value, stop tolerance and momentum
+count), compacted as members stop (but not once the last ones stop),
+and writes a member's best iterate back only when it improves and its
+stop record only when it stops; the seesaw's round loop
+(:func:`_rounds`) compacts its live restarts' state the same way.  So a seesaw round, which is bound by the interpreter
+rather than by BLAS and LAPACK, makes few numpy calls that do no
+floating-point work, and each float operation and its order are those
+of gathering every member's state at every step.
 
 The kernel's inputs are built once per batch, for the rows of each
 gamma point in it at once (:func:`_per_gamma`).  The recovery half's
@@ -66,7 +74,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real, tensor_power
+from .channels import COMPLETENESS_TOL, Channel, is_integer, is_real
 from .codes import ISOMETRY_TOL, Isometry
 from .linalg import inv_sqrt_psd
 
@@ -217,18 +225,21 @@ def _encoding_operators(r: np.ndarray, a1: np.ndarray, n: int) -> np.ndarray:
     nb, nk, d, m = r.shape
     v = r.reshape(nb, nk, d * m)
     c = (v.swapaxes(1, 2) @ v.conj()).reshape((nb, d) + (2,) * n + (d,) + (2,) * n)
-    # [B, a, a', mu_1, nu_1, ..., mu_n, nu_n]
+    # [B, a, a', mu_1, nu_1, ..., mu_n, nu_n].  The axes are lists or
+    # unpacked ranges, never tuple(generator): CPython resizes such a tuple,
+    # and each one freed then stays in its tuple free list (up to 2,000 per
+    # length), which cost 0.3-0.5 MiB of peak RSS on seesaw_sweep (BENCH_23.json).
     pairs = [ax for q in range(n) for ax in (2 + q, 3 + n + q)]
-    t = c.transpose((0, 1, 2 + n) + tuple(pairs)).reshape((nb * d * d,) + (4,) * n)
+    t = c.transpose(0, 1, 2 + n, *pairs).reshape(nb * d * d, 4, -1)
     mt = np.einsum("smb,snc->mnbc", a1, a1.conj()).reshape(4, 4)
     # Contracting the leading qubit pair appends (b_q, b'_q) last, so after
-    # n contractions the qubits are back in order.
+    # n contractions the qubits are back in order.  Each contraction is the
+    # copy and the matrix product that np.tensordot(t, mt, ([1], [0])) makes.
     for _ in range(n):
-        t = np.tensordot(t, mt, axes=([1], [0]))
+        t = np.dot(t.swapaxes(1, 2).reshape(-1, 4), mt).reshape(t.shape)
     # [B, a, a', b_1, b'_1, ..., b_n, b'_n] -> [B, (b, a), (b', a')]
     t = t.reshape((nb, d, d) + (2,) * (2 * n))
-    order = ((0,) + tuple(3 + 2 * q for q in range(n)) + (1,)
-             + tuple(4 + 2 * q for q in range(n)) + (2,))
+    order = (0, *range(3, 3 + 2 * n, 2), 1, *range(4, 4 + 2 * n, 2), 2)
     return _scaled_hermitian(t.transpose(order).reshape(nb, m * d, m * d), d)
 
 
@@ -255,8 +266,10 @@ def _lowdin(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale = np.abs(s).max(axis=(1, 2))
     # A zero S fails the completeness check; a unit scale keeps its floor positive.
     out = c @ inv_sqrt_psd(s, 1e-14 * np.where(scale > 0.0, scale, 1.0))
+    # gram - I, with the identity subtracted from the diagonal in place.
     gram = out.conj().swapaxes(1, 2) @ out
-    return out, scale, np.abs(gram - np.eye(c.shape[2])).max(axis=(1, 2))
+    gram.reshape(len(c), -1)[:, ::c.shape[2] + 1] -= 1
+    return out, scale, np.abs(gram).max(axis=(1, 2))
 
 
 def _renormalize(c: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -270,10 +283,12 @@ def _renormalize(c: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     # stack can miss completeness by rounding alone (2e-9 at gamma=0.02 on
     # the 4-qubit code).  The result's own S is close to the identity, and
     # renormalizing once more restores completeness to rounding.
-    redo = np.flatnonzero((scale > 0.0) & (dev > tol))
-    if redo.size:
-        out[redo], _, dev[redo] = _lowdin(out[redo])
-    return out, (scale > 0.0) & (dev <= tol)
+    ok = scale > 0.0
+    if (dev > tol).any():
+        redo = np.flatnonzero(ok & (dev > tol))
+        if redo.size:
+            out[redo], _, dev[redo] = _lowdin(out[redo])
+    return out, ok & (dev <= tol)
 
 
 def _fidelities(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -328,6 +343,8 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, tol: float,
     converged = np.zeros(b, dtype=bool)
     live = np.arange(b)
     k = np.zeros(b)
+    # The live members' best values and stop tolerances, compacted as x, p and f are.
+    f_best, tol_live = f, stop_tol
     for step in range(1, MAX_INNER_ITERS + 1):
         # beta = 0 leaves p exactly as it is: the plain step.
         y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
@@ -343,20 +360,24 @@ def _power_batch(x: np.ndarray, ks: np.ndarray, tol: float,
             f_new[redo] = _fidelities(c, p_new[redo])
             k[redo] = 0
         accept = ok & (f_new >= f - INNER_TOL)
-        up = accept & (f_new > best_f[live])
-        best[live[up]] = cand[up]
-        best_f[live[up]] = f_new[up]
-        done = accept & (np.abs(f_new - f) < stop_tol[live])
-        converged[live[done]] = True
+        up = accept & (f_new > f_best)
+        if up.any():
+            best[live[up]] = cand[up]
+            f_best = np.where(up, f_new, f_best)
+        done = accept & (np.abs(f_new - f) < tol_live)
         p_prev, p, f, k = p, p_new, f_new, k + 1
         stop = done | ~accept
         if stop.any():
-            iterations[live[stop]] = step
-            keep = ~stop
-            live, x, p, p_prev, f, k = (live[keep], x[keep], p[keep], p_prev[keep],
-                                        f[keep], k[keep])
-            if not live.size:
+            out = live[stop]
+            iterations[out], converged[out], best_f[out] = step, done[stop], f_best[stop]
+            if stop.all():
                 break
+            keep = ~stop
+            live, x, p, p_prev, f, k, f_best, tol_live = (
+                a[keep] for a in (live, x, p, p_prev, f, k, f_best, tol_live))
+    else:
+        # The members still live at MAX_INNER_ITERS steps.
+        best_f[live] = f_best
     return best.reshape(ks.shape), best_f, iterations, converged
 
 
@@ -515,9 +536,10 @@ def _multistarts(problems: Iterable[Tuple[np.ndarray, np.ndarray]]) -> List[Half
 def _per_gamma(build, stack: np.ndarray, g: np.ndarray, per: Sequence, *args) -> np.ndarray:
     """``build(rows, per[j], *args)`` over the rows of ``stack`` whose gamma
     index in the sorted ``g`` is j, for each j, stacked in row order."""
-    cut = np.flatnonzero(np.diff(g)) + 1
-    parts = [build(s, per[j[0]], *args) for s, j in zip(np.split(stack, cut), np.split(g, cut))]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if g[0] == g[-1]:
+        return build(stack, per[g[0]], *args)
+    cut = [0, *np.flatnonzero(g[1:] != g[:-1]) + 1, len(g)]
+    return np.concatenate([build(stack[a:z], per[g[a]], *args) for a, z in zip(cut, cut[1:])])
 
 
 def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, g: np.ndarray,
@@ -530,65 +552,62 @@ def _rounds(enc: np.ndarray, rec: np.ndarray, f0: np.ndarray, g: np.ndarray,
 
     Returns one ``(best_enc, best_rec, best_f, converged, trace,
     iterations)`` per restart: its best pair, their value, whether it
-    converged, its trace and its power steps.  ``enc`` and ``rec`` are
-    overwritten.
+    converged, its trace and its power steps.
     """
     traces = [[f] for f in f0.tolist()]
     best_enc, best_rec, best_f = enc.copy(), rec.copy(), f0.copy()
     iters = np.zeros(len(enc), dtype=int)
-    # Per restart: the encoder half's last output E' and the number k of
-    # rounds since the last fallback, which set the extrapolation below,
-    # and its gain over its last round, which sets its halves' stop
-    # tolerance max(INNER_TOL, SEESAW_KAPPA * gain).  The live restarts
-    # have all run the same number of rounds.
-    e_half = enc.copy()
-    k = np.zeros(len(enc))
-    gain = np.zeros(len(enc))
     converged = np.zeros(len(enc), dtype=bool)
+    # Per live restart, compacted as restarts stop: its encoder, recovery
+    # and gamma index, the encoder half's last output E' and the number k
+    # of rounds since the last fallback, which set the extrapolation below,
+    # its gain over its last round, which sets its halves' stop tolerance
+    # max(INNER_TOL, SEESAW_KAPPA * gain), and its trace and last recorded
+    # value.  The live restarts have all run the same number of rounds.
     live = np.arange(len(enc))
+    e_half, k, gain, trace, last = enc, np.zeros(len(enc)), np.zeros(len(enc)), traces, f0
     for _ in range(opts.max_outer_rounds):
-        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
-        # While every restart runs, rec itself is the start; it is
-        # overwritten only at the end of the round.
-        rec_start = rec if len(live) == len(rec) else rec[live]
-        gl = g[live]
-        enc_new, f_e, it_e, _ = _power_batch(_per_gamma(_encoding_operators, rec_start, gl, a1, n),
-                                             enc[live], ISOMETRY_TOL, stop_tol)
+        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain)
+        enc_new, f_e, it_e, _ = _power_batch(_per_gamma(_encoding_operators, rec, g, a1, n),
+                                             enc, ISOMETRY_TOL, stop_tol)
         # E_y = polar(E' + beta_k (E' - E'_prev)); k = 0 or a failed polar step keeps E'.
-        kl = k[live]
-        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
+        y = enc_new + (k / (k + 3))[:, None, None, None] * (enc_new - e_half)
         e_y, ok = _renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
-        ext = ok & (kl > 0)
+        ext = ok & (k > 0)
         e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
-        rec_new, f_r, it_r, _ = _power_batch(_per_gamma(_recovery_operators, e_y, gl, nks),
-                                             rec_start, COMPLETENESS_TOL, stop_tol)
+        rec_new, f_r, it_r, _ = _power_batch(_per_gamma(_recovery_operators, e_y, g, nks),
+                                             rec, COMPLETENESS_TOL, stop_tol)
         iters[live] += it_e + it_r
         # A round that ends below f_e redoes its recovery half at E'.
         back = ext & (f_r < f_e)
         if back.any():
             rec_new[back], f_r[back], it_b, _ = _power_batch(
-                _per_gamma(_recovery_operators, enc_new[back], gl[back], nks), rec_start[back],
+                _per_gamma(_recovery_operators, enc_new[back], g[back], nks), rec[back],
                 COMPLETENESS_TOL, stop_tol[back])
             e_y[back] = enc_new[back]
             iters[live[back]] += it_b
-        k[live] = np.where(back, 0, kl + 1)
-        e_half[live], enc[live], rec[live] = enc_new, e_y, rec_new
+        k = np.where(back, 0, k + 1)
+        e_half, enc, rec = enc_new, e_y, rec_new
         # Each trace records the round's two values, never below its last.
-        last = np.array([traces[i][-1] for i in live])
         f_e = np.maximum(f_e, last)
         f_r = np.maximum(f_r, f_e)
-        for i, pair in zip(live, np.column_stack((f_e, f_r)).tolist()):
-            traces[i] += pair
+        for t, a, z in zip(trace, f_e.tolist(), f_r.tolist()):
+            t += a, z
         up = f_r > best_f[live]
-        best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
+        i = live[up]
+        best_enc[i], best_rec[i], best_f[i] = e_y[up], rec_new[up], f_r[up]
         # A small gain counts only from a round whose halves ran at the
         # floor INNER_TOL; after a looser round, one more round decides.
-        gain[live] = gain_l = f_r - last
-        done = (gain_l < opts.outer_tol) & (stop_tol == INNER_TOL)
-        converged[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
+        gain, last = f_r - last, f_r
+        done = (gain < opts.outer_tol) & (stop_tol == INNER_TOL)
+        if done.any():
+            converged[live[done]] = True
+            if done.all():
+                break
+            keep = ~done
+            live, enc, rec, g, e_half, k, gain, last = (
+                a[keep] for a in (live, enc, rec, g, e_half, k, gain, last))
+            trace = [t for t, d in zip(trace, done.tolist()) if not d]
     return list(zip(best_enc, best_rec, best_f.tolist(), converged.tolist(), traces,
                     iters.tolist()))
 

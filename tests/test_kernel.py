@@ -1,10 +1,13 @@
 """The stacked power-step kernel against a single-member loop of the same
 rule, its speed-up over the plain power step, the lockstep seesaw against
 a one-restart loop of its extrapolated round, the independence of the
-lockstep multistart and seesaw from how their batches are composed, and
-the stacked operator builds and starts that feed them."""
+lockstep multistart and seesaw from how their batches are composed, the
+stacked operator builds and starts that feed them, and the kernel, builds
+and round loop against their earlier forms, bit for bit."""
 
+import gc
 import os
+import sys
 import threading
 import weakref
 
@@ -20,9 +23,10 @@ from seesawqec.codes import ISOMETRY_TOL
 from seesawqec.grid import _seed_isometries
 from seesawqec.linalg import inv_sqrt_psd
 from seesawqec.optimizer import (INNER_TOL, MULTISTART_BATCH, SEESAW_KAPPA,
-                                 _encoding_operators, _lowdin, _multistarts, _pad,
-                                 _power_batch, _recovery_operators, _recovery_problem,
-                                 _renormalize, _transpose_problem)
+                                 _encoding_operators, _fidelities, _lowdin, _multistarts,
+                                 _pad, _per_gamma, _power_batch, _recovery_operators,
+                                 _recovery_problem, _renormalize, _rounds, _scaled_hermitian,
+                                 _transpose_problem)
 
 
 def reference_renormalize(ks, tol):
@@ -36,6 +40,163 @@ def reference_renormalize(ks, tol):
     if np.max(np.abs(s_new - np.eye(ks.shape[2]))) > tol:
         return None
     return out
+
+
+# Earlier forms of the kernel, the seesaw's operator builds and its round
+# loop.  They make more numpy calls for the same floating-point operations
+# in the same order, and TestRewritesChangeNoBit holds the library to them
+# bit for bit.
+
+def eigh_inv_sqrt_psd(m, eps):
+    """linalg.inv_sqrt_psd through np.linalg.eigh."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    w, v = w[..., ::-1], v[..., ::-1]
+    eps = np.asarray(eps)[..., None]
+    f = np.where(w > eps, 1.0 / np.sqrt(np.maximum(w, eps)), 0.0)
+    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def eye_lowdin(c):
+    """optimizer._lowdin with the completeness error taken against np.eye."""
+    s = c.conj().swapaxes(1, 2) @ c
+    scale = np.abs(s).max(axis=(1, 2))
+    out = c @ eigh_inv_sqrt_psd(s, 1e-14 * np.where(scale > 0.0, scale, 1.0))
+    gram = out.conj().swapaxes(1, 2) @ out
+    return out, scale, np.abs(gram - np.eye(c.shape[2])).max(axis=(1, 2))
+
+
+def eye_renormalize(c, tol):
+    """optimizer._renormalize over eye_lowdin, which builds its redo index every call."""
+    out, scale, dev = eye_lowdin(c)
+    redo = np.flatnonzero((scale > 0.0) & (dev > tol))
+    if redo.size:
+        out[redo], _, dev[redo] = eye_lowdin(out[redo])
+    return out, (scale > 0.0) & (dev <= tol)
+
+
+def uncompacted_power_batch(x, ks, tol, stop_tol):
+    """optimizer._power_batch gathering each live member's best value and stop
+    tolerance from the full arrays, and scattering its best iterate and
+    stop, at every step.  It reads ``MAX_INNER_ITERS`` at call time."""
+    cap = q.optimizer.MAX_INNER_ITERS
+    b, r, o, i = ks.shape
+    dtype = np.result_type(x, ks)
+    x = x.astype(dtype, copy=False)
+    v = ks.astype(dtype, copy=False).reshape(b, r, o * i)
+    p = v @ x
+    p_prev = p
+    f = _fidelities(v, p)
+    best, best_f = v.copy(), f.copy()
+    iterations = np.full(b, cap)
+    converged = np.zeros(b, dtype=bool)
+    live = np.arange(b)
+    k = np.zeros(b)
+    for step in range(1, cap + 1):
+        y = p + (k / (k + 3))[:, None, None] * (p - p_prev)
+        cand, ok = eye_renormalize(y.reshape(len(live), r * o, i), tol)
+        cand = cand.reshape(len(live), r, o * i)
+        p_new = cand @ x
+        f_new = _fidelities(cand, p_new)
+        redo = (k > 0) & ~(ok & (f_new >= f))
+        if redo.any():
+            c, ok[redo] = eye_renormalize(p[redo].reshape(-1, r * o, i), tol)
+            c = c.reshape(-1, r, o * i)
+            cand[redo], p_new[redo] = c, c @ x[redo]
+            f_new[redo] = _fidelities(c, p_new[redo])
+            k[redo] = 0
+        accept = ok & (f_new >= f - INNER_TOL)
+        up = accept & (f_new > best_f[live])
+        best[live[up]] = cand[up]
+        best_f[live[up]] = f_new[up]
+        done = accept & (np.abs(f_new - f) < stop_tol[live])
+        converged[live[done]] = True
+        p_prev, p, f, k = p, p_new, f_new, k + 1
+        stop = done | ~accept
+        if stop.any():
+            iterations[live[stop]] = step
+            keep = ~stop
+            live, x, p, p_prev, f, k = (live[keep], x[keep], p[keep], p_prev[keep],
+                                        f[keep], k[keep])
+            if not live.size:
+                break
+    return best.reshape(ks.shape), best_f, iterations, converged
+
+
+def tensordot_encoding_operators(r, a1, n):
+    """optimizer._encoding_operators contracting each qubit pair with np.tensordot."""
+    nb, nk, d, m = r.shape
+    v = r.reshape(nb, nk, d * m)
+    c = (v.swapaxes(1, 2) @ v.conj()).reshape((nb, d) + (2,) * n + (d,) + (2,) * n)
+    pairs = [ax for q_ in range(n) for ax in (2 + q_, 3 + n + q_)]
+    t = c.transpose((0, 1, 2 + n) + tuple(pairs)).reshape((nb * d * d,) + (4,) * n)
+    mt = np.einsum("smb,snc->mnbc", a1, a1.conj()).reshape(4, 4)
+    for _ in range(n):
+        t = np.tensordot(t, mt, axes=([1], [0]))
+    t = t.reshape((nb, d, d) + (2,) * (2 * n))
+    order = ((0,) + tuple(3 + 2 * q_ for q_ in range(n)) + (1,)
+             + tuple(4 + 2 * q_ for q_ in range(n)) + (2,))
+    return _scaled_hermitian(t.transpose(order).reshape(nb, m * d, m * d), d)
+
+
+def split_per_gamma(build, stack, g, per, *args):
+    """optimizer._per_gamma cutting the rows with np.diff and two np.split."""
+    cut = np.flatnonzero(np.diff(g)) + 1
+    parts = [build(s, per[j[0]], *args) for s, j in zip(np.split(stack, cut), np.split(g, cut))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def uncompacted_rounds(enc, rec, f0, g, nks, a1, n, opts):
+    """optimizer._rounds over the forms above, keeping every restart's state in
+    full arrays that it gathers and scatters by the live index each round.
+    ``enc`` and ``rec`` are overwritten."""
+    traces = [[f] for f in f0.tolist()]
+    best_enc, best_rec, best_f = enc.copy(), rec.copy(), f0.copy()
+    iters = np.zeros(len(enc), dtype=int)
+    e_half = enc.copy()
+    k = np.zeros(len(enc))
+    gain = np.zeros(len(enc))
+    converged = np.zeros(len(enc), dtype=bool)
+    live = np.arange(len(enc))
+    for _ in range(opts.max_outer_rounds):
+        stop_tol = np.maximum(INNER_TOL, SEESAW_KAPPA * gain[live])
+        rec_start = rec if len(live) == len(rec) else rec[live]
+        gl = g[live]
+        enc_new, f_e, it_e, _ = uncompacted_power_batch(
+            split_per_gamma(tensordot_encoding_operators, rec_start, gl, a1, n), enc[live],
+            ISOMETRY_TOL, stop_tol)
+        kl = k[live]
+        y = enc_new + (kl / (kl + 3))[:, None, None, None] * (enc_new - e_half[live])
+        e_y, ok = eye_renormalize(y.reshape(len(live), *enc_new.shape[2:]), ISOMETRY_TOL)
+        ext = ok & (kl > 0)
+        e_y = np.where(ext[:, None, None, None], e_y.reshape(enc_new.shape), enc_new)
+        rec_new, f_r, it_r, _ = uncompacted_power_batch(
+            split_per_gamma(_recovery_operators, e_y, gl, nks), rec_start, COMPLETENESS_TOL,
+            stop_tol)
+        iters[live] += it_e + it_r
+        back = ext & (f_r < f_e)
+        if back.any():
+            rec_new[back], f_r[back], it_b, _ = uncompacted_power_batch(
+                split_per_gamma(_recovery_operators, enc_new[back], gl[back], nks),
+                rec_start[back], COMPLETENESS_TOL, stop_tol[back])
+            e_y[back] = enc_new[back]
+            iters[live[back]] += it_b
+        k[live] = np.where(back, 0, kl + 1)
+        e_half[live], enc[live], rec[live] = enc_new, e_y, rec_new
+        last = np.array([traces[i][-1] for i in live])
+        f_e = np.maximum(f_e, last)
+        f_r = np.maximum(f_r, f_e)
+        for i, pair in zip(live, np.column_stack((f_e, f_r)).tolist()):
+            traces[i] += pair
+        up = f_r > best_f[live]
+        best_enc[live[up]], best_rec[live[up]], best_f[live[up]] = e_y[up], rec_new[up], f_r[up]
+        gain[live] = gain_l = f_r - last
+        done = (gain_l < opts.outer_tol) & (stop_tol == INNER_TOL)
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return list(zip(best_enc, best_rec, best_f.tolist(), converged.tolist(), traces,
+                    iters.tolist()))
 
 
 def reference_fidelity(x, ks):
@@ -673,6 +834,19 @@ class TestColdRestarts:
                                          ref.outer_rounds, ref.restarts_used, ref.converged)
         assert chain[0].fidelity == 1.0 and chain[-1].fidelity == 0.25
 
+    def test_a_sweep_builds_one_tensor_power_per_gamma(self, monkeypatch):
+        # The warm restart of a point runs under its entry's tensor power.
+        built = []
+        for module in (grid, cli):
+            def counted(c, n, _original=module.tensor_power):
+                built.append(c)
+                return _original(c, n)
+            monkeypatch.setattr(module, "tensor_power", counted)
+        config = SweepConfig(gamma_min=0.1, gamma_max=0.3, steps=3, copies=2, modes=("seesaw",),
+                             options=q.SolveOptions(seed=7, restarts=2, max_outer_rounds=5))
+        assert len(run_sweep(config)) == config.steps
+        assert len(built) == len({id(c) for c in built}) == config.steps
+
 
 class TestBatchedMultistart:
     """Several recovery multistarts in one call against one call each."""
@@ -751,6 +925,18 @@ class TestStackedBuilds:
             ref = fidelity_operator_encoding(c, noise)
             assert np.abs(x[b] - ref).max() <= 1e-14 * np.abs(ref).max(), b
 
+    def test_encoding_operators_leave_no_tuples_in_the_free_lists(self):
+        # A tuple filled from a generator is resized, and once freed it stays
+        # in CPython's tuple free list: one per call, up to 2,000 per length.
+        r = _pad([q.random_cptp(16, 2, 16, np.random.default_rng(1)).kraus] * 8)
+        a1 = q.amplitude_damping(0.3).kraus
+        _encoding_operators(r, a1, 4)
+        gc.collect()    # also empties the free lists
+        before = sys.getallocatedblocks()
+        for _ in range(100):
+            _encoding_operators(r, a1, 4)
+        assert sys.getallocatedblocks() - before < 50
+
     @pytest.mark.parametrize("rank", [1, 3])
     def test_recovery_operators_do_not_depend_on_the_batch(self, rank):
         noise = q.tensor_power(q.amplitude_damping(0.3), 4)
@@ -765,6 +951,129 @@ class TestStackedBuilds:
             np.testing.assert_array_equal(_recovery_operators(encs[[3, b]], nks)[1], alone)
             public = q.fidelity_operator_recovery(q.Channel(list(encs[b])), noise)
             np.testing.assert_array_equal(public, alone)
+
+
+class TestRewritesChangeNoBit:
+    """The kernel, the operator builds and the round loop against their
+    earlier forms above: every output is equal bit for bit."""
+
+    CAP = 40
+
+    @staticmethod
+    def mixed_batch():
+        """Recovery problems 16 -> 2 at Kraus width 16, their stop tolerances,
+        and the indefinite operator of the member that falls back."""
+        def fixed_code(gamma):
+            noise = q.tensor_power(q.amplitude_damping(gamma), 4)
+            return q.fidelity_operator_recovery(q.leung_encoder(), noise).real
+
+        v, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((32, 32)))
+        indefinite = (v * np.linspace(-0.5, 1.0, 32)) @ v.T
+        u, _, vh = np.linalg.svd(np.random.default_rng(3).standard_normal((32, 16)),
+                                 full_matrices=False)
+        slow = real_starts(16, 2, 8)
+        x_t, start_t = _transpose_problem(q.leung_encoder(),
+                                          q.tensor_power(q.amplitude_damping(0.2), 4))
+        members = [
+            (np.eye(32), np.zeros((16, 2, 16))),                     # renormalization fails
+            (x_t, start_t),                                          # converges in a few steps
+            (fixed_code(0.5), slow[0]),                              # reaches the cap
+            (fixed_code(0.5), slow[1]),                              # reaches the cap
+            ((indefinite + indefinite.T) / 2, slow[1]),              # falls back almost always
+            (np.eye(32), ((u * np.logspace(0, -5, 16)) @ vh).reshape(16, 2, 16)),  # redo
+        ]
+        xs, starts = zip(*members)
+        return (np.stack(xs), _pad(starts), np.array([1e-10, 1e-6, 1e-10, 1e-10, 1e-8, 1e-10]),
+                members[4][0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_power_batch(self, monkeypatch, dtype):
+        x, ks, tols, indefinite = self.mixed_batch()
+        x, ks = x.astype(dtype), ks.astype(dtype)
+        monkeypatch.setattr(q.optimizer, "MAX_INNER_ITERS", self.CAP)
+        out = _power_batch(x, ks, COMPLETENESS_TOL, tols)
+        for got, ref in zip(out, uncompacted_power_batch(x, ks, COMPLETENESS_TOL, tols)):
+            np.testing.assert_array_equal(got, ref)
+        # The members stop as labelled.
+        _, _, iters, conv = out
+        assert (iters[0], conv[0]) == (1, False)
+        assert conv[1] and iters[1] < self.CAP
+        assert (iters[2], conv[2], iters[3], conv[3]) == (self.CAP, False, self.CAP, False)
+        assert eye_lowdin(ks[5].reshape(1, 32, 16))[2][0] > COMPLETENESS_TOL
+        assert conv[5]
+        fallbacks = []
+        reference_half(indefinite.astype(dtype), ks[4], COMPLETENESS_TOL, fallbacks)
+        assert len(fallbacks) >= self.CAP // 2
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("single", [q.amplitude_damping(0.3),
+                                        q.random_cptp(2, 2, 3, np.random.default_rng(5))],
+                             ids=["damping", "rank3"])
+    def test_encoding_operators(self, n, single):
+        m = 2 ** n
+        recs = [q.random_cptp(m, 2, rank, np.random.default_rng(10 * n + rank)).kraus
+                for rank in (max(1, m // 2), m // 2 + 1, m)]
+        # Zero-padded past the widest recovery.
+        r, a1 = _pad(recs, m + 2), single.kraus
+        np.testing.assert_array_equal(_encoding_operators(r, a1, n),
+                                      tensordot_encoding_operators(r, a1, n))
+
+    def test_per_gamma(self):
+        # Three gamma points, the second with one row.
+        n, g = 2, np.array([0, 0, 1, 2, 2])
+        singles = [q.amplitude_damping(gamma) for gamma in (0.2, 0.5, 0.9)]
+        nks = [q.tensor_power(s, n).kraus for s in singles]
+        a1 = [s.kraus for s in singles]
+        rng = np.random.default_rng(2)
+        recs = _pad([q.random_cptp(4, 2, 4, rng).kraus for _ in g])
+        encs = np.stack([q.random_isometry(2, 4, j).kraus for j in range(len(g))])
+        for rows in ([0, 1, 2, 3, 4], [0, 1], [2], [1, 2, 3]):
+            for build, stack, per, args in [(_encoding_operators, recs, a1, (n,)),
+                                            (_recovery_operators, encs, nks, ())]:
+                np.testing.assert_array_equal(
+                    _per_gamma(build, stack[rows], g[rows], per, *args),
+                    split_per_gamma(build, stack[rows], g[rows], per, *args))
+
+    def test_rounds(self, monkeypatch):
+        # Three gamma points of four restarts; some converge, some reach the
+        # round cap, and some rounds redo their recovery half.
+        n, opts = 3, q.SolveOptions(seed=7, restarts=4, max_outer_rounds=60)
+        singles = [q.amplitude_damping(gamma) for gamma in (0.2, 0.3, 0.45)]
+        powers = [q.tensor_power(s, n) for s in singles]
+        seeds = _seed_isometries(n, opts)
+        starts = [grid._cold_starts(seeds, noise, n) for noise in powers]
+        enc = np.concatenate([np.stack([iso.kraus for iso in seeds])] * len(singles))
+        rec = np.concatenate([s[0] for s in starts])
+        f0 = np.concatenate([s[1] for s in starts])
+        g = np.repeat(np.arange(len(singles)), len(seeds))
+        args = ([p.kraus for p in powers], [s.kraus for s in singles], n, opts)
+        calls = []
+        original = q.optimizer._power_batch
+        monkeypatch.setattr(q.optimizer, "_power_batch",
+                            lambda *a: calls.append(len(a[0])) or original(*a))
+        rows = _rounds(enc.copy(), rec.copy(), f0.copy(), g, *args)
+        refs = uncompacted_rounds(enc.copy(), rec.copy(), f0.copy(), g, *args)
+        assert len(rows) == len(refs) == len(g)
+        for row, ref in zip(rows, refs):
+            np.testing.assert_array_equal(row[0], ref[0])
+            np.testing.assert_array_equal(row[1], ref[1])
+            assert row[2:] == ref[2:]
+        rounds = [len(row[4]) // 2 for row in rows]
+        assert any(row[3] for row in rows) and opts.max_outer_rounds in rounds
+        assert len(calls) > 2 * max(rounds)
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_inv_sqrt_psd(self, field):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((4, 6, 3)).astype(field)
+        if field is complex:
+            g += 1j * rng.standard_normal(g.shape)
+        # Rank 3 of 6, so half the eigenvalues fall under the floor.
+        m = g @ g.conj().swapaxes(1, 2)
+        for eps in (1e-14, 1e-14 * np.abs(m).max(axis=(1, 2)), 1e-14 * rng.random(4)):
+            np.testing.assert_array_equal(inv_sqrt_psd(m, eps), eigh_inv_sqrt_psd(m, eps))
+        np.testing.assert_array_equal(inv_sqrt_psd(m[1], 1e-12), eigh_inv_sqrt_psd(m[1], 1e-12))
+        assert inv_sqrt_psd(m, 1e-14).dtype == m.dtype
 
 
 def count_start_builds(monkeypatch):
